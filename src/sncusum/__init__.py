@@ -15,12 +15,10 @@ from sncusum.errors import (
 from sncusum.blocks import (
     BlockConfig,
     PartialSumGrid,
-    coarsened_partial_sum,
     make_block_config,
     partial_sum,
     permutation,
     permute_index,
-    rescaled_time,
 )
 from sncusum.stats import (
     TestOutcome,
@@ -75,7 +73,6 @@ __all__ = [
     "SIMPLE_RATIO",
     "TestOutcome",
     "TestParams",
-    "coarsened_partial_sum",
     "cusum_lrv_test",
     "decide_full",
     "decide_simple",
@@ -93,7 +90,6 @@ __all__ = [
     "permutation",
     "permute_index",
     "quantile",
-    "rescaled_time",
     "run_grid",
     "run_scenario",
     "save_sample",

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from sncusum.errors import ConfigurationError
-
 # Grid-snapping guard: floor(t*n) must not lose exact grid points such as
 # t = 29/100 to one-ulp float noise.
 _GRID_EPS = 1e-9
@@ -95,6 +93,15 @@ def permutation(cfg: BlockConfig) -> np.ndarray:
     return _permutation_cached(cfg)
 
 
+@lru_cache(maxsize=128)
+def _time_rank(cfg: BlockConfig) -> np.ndarray:
+    """1-based time rank of each sample position (the inverse of ``permutation``); read-only."""
+    rank = np.empty(cfg.n, dtype=np.int64)
+    rank[permutation(cfg)] = np.arange(1, cfg.n + 1)
+    rank.setflags(write=False)
+    return rank
+
+
 def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
     """Validate and convert a series to a 1-d float array (n >= 4, all finite).
 
@@ -117,29 +124,17 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name}={value} not in [0, 1]")
 
 
-def _row_from_count(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
-    """Process values over the full s-grid using the first ``m`` permuted indices.
+def _row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
+    """Process over the s-grid from the observations of time rank <= ``m``.
 
     Returns an array ``row`` of length n+1 with ``row[j]`` the process value
     at s = j/n.
     """
-    n = cfg.n
-    masked = np.zeros(n)
-    if m > 0:
-        idx = permutation(cfg)[:m]
-        masked[idx] = x[idx]
-    row = np.empty(n + 1)
+    row = np.empty(cfg.n + 1)
     row[0] = 0.0
-    np.cumsum(masked, out=row[1:])
-    row /= n
+    np.cumsum(np.where(_time_rank(cfg) <= m, x, 0.0), out=row[1:])
+    row /= cfg.n
     return row
-
-
-def _value_from_count(x: np.ndarray, cfg: BlockConfig, m: int, j: int) -> float:
-    if m == 0 or j == 0:
-        return 0.0
-    idx = permutation(cfg)[:m]
-    return float(x[idx[idx < j]].sum() / cfg.n)
 
 
 def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
@@ -148,7 +143,7 @@ def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
     x = as_series(x, cfg)
     _check_unit("t", t)
     _check_unit("s", s)
-    return _value_from_count(x, cfg, _floor_index(t * cfg.n), _floor_index(s * cfg.n))
+    return float(_row(x, cfg, _floor_index(t * cfg.n))[_floor_index(s * cfg.n)])
 
 
 def knot_of(cfg: BlockConfig, t: float) -> int:
@@ -157,69 +152,31 @@ def knot_of(cfg: BlockConfig, t: float) -> int:
     return _floor_index(t * cfg.n) // cfg.n_blocks
 
 
-def coarsened_partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
-    """Partial sum with ``t`` snapped down to the nearest coarse knot.
-
-    Piecewise constant in ``t`` with knots at k * n_blocks / n.
-    """
-    x = as_series(x, cfg)
-    _check_unit("s", s)
-    m = knot_of(cfg, t) * cfg.n_blocks
-    return _value_from_count(x, cfg, m, _floor_index(s * cfg.n))
-
-
-def rescaled_time(t: float, cfg: BlockConfig) -> float:
-    """Coarse time rescaled so that the first knot maps to 0 and t=1 maps to 1."""
-    last = cfg.n_knots
-    if last < 2:
-        raise ConfigurationError(
-            f"blocks too coarse: only {last} coarse step(s) for n={cfg.n}, "
-            f"block_length={cfg.block_length}"
-        )
-    return (knot_of(cfg, t) - 1) / (last - 1)
-
-
 class PartialSumGrid:
-    """All coarsened partial-sum values, computed with per-block prefix sums.
+    """A validated series with its block geometry, read one knot row at a time.
 
-    ``knot_rows[k, j]`` is the process at (t = k*n_blocks/n, s = j/n) for
-    k = 0..n_knots, and ``ordinary[j]`` the plain partial-sum process at t=1.
-    Building the full lattice costs O(n * n_knots) in two cumulative sums.
+    ``row(k)`` is the process at t = k*n_blocks/n over the s-grid {j/n} and
+    ``ordinary[j]`` the plain partial-sum process at t=1.  Each row costs one
+    O(n) cumulative sum; no lattice of all knots is built.
     """
 
-    def __init__(self, cfg: BlockConfig, knot_rows: np.ndarray, ordinary: np.ndarray):
+    def __init__(self, cfg: BlockConfig, x: np.ndarray, ordinary: np.ndarray):
         self.cfg = cfg
-        self.knot_rows = knot_rows
+        self.x = x
         self.ordinary = ordinary
 
     @classmethod
     def compute(cls, x, cfg: BlockConfig) -> "PartialSumGrid":
         x = as_series(x, cfg)
-        n, ell, last = cfg.n, cfg.n_blocks, cfg.n_knots
-        rank = np.empty(n, dtype=np.int64)
-        rank[permutation(cfg)] = np.arange(1, n + 1)
-        step = (rank + ell - 1) // ell  # first knot whose row includes each position
+        return cls(cfg, x, _row(x, cfg, cfg.n))
 
-        contrib = np.zeros((last + 1, n))
-        pos = np.flatnonzero(step <= last)
-        contrib[step[pos], pos] = x[pos]
-        layered = np.cumsum(contrib, axis=0)
-
-        knot_rows = np.zeros((last + 1, n + 1))
-        np.cumsum(layered, axis=1, out=knot_rows[:, 1:])
-        knot_rows /= n
-
-        ordinary = np.empty(n + 1)
-        ordinary[0] = 0.0
-        np.cumsum(x, out=ordinary[1:])
-        ordinary /= n
-        return cls(cfg, knot_rows, ordinary)
-
-    def coarse_value(self, t: float, s: float) -> float:
-        """Coarsened process at arbitrary (t, s)."""
-        j = _floor_index(s * self.cfg.n)
-        return float(self.knot_rows[knot_of(self.cfg, t), j])
+    def row(self, k: int) -> np.ndarray:
+        """Process at coarse knot ``k`` over the s-grid, length n+1."""
+        return _row(self.x, self.cfg, k * self.cfg.n_blocks)
 
     def knot_margins(self) -> np.ndarray:
         """Coarsened process at s=1 for every knot (the time marginal)."""
-        return self.knot_rows[:, -1]
+        cfg = self.cfg
+        # the first knot whose row includes each position
+        step = (_time_rank(cfg) + cfg.n_blocks - 1) // cfg.n_blocks
+        return np.cumsum(np.bincount(step, weights=self.x))[: cfg.n_knots + 1] / cfg.n

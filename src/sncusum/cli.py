@@ -123,7 +123,7 @@ def cmd_test(args) -> int:
         "p_value": outcome.p_value,
         "reject": outcome.reject,
     }
-    print(json.dumps(result))
+    print(json.dumps(result, allow_nan=False))
     return EXIT_OK
 
 

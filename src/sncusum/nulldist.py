@@ -16,10 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
+import os
 
 import numpy as np
 
-from sncusum.errors import CacheFormatError, CacheProvenanceError
+from sncusum.errors import CacheFormatError, CacheProvenanceError, ConfigurationError
 
 SIMPLE_RATIO = "simple-ratio"
 FULL_RATIO = "full-ratio"
@@ -43,6 +44,19 @@ class NullSample:
 def _check_seed(seed: int) -> None:
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def plan_chunks(total: int, workers: int, min_chunk: int) -> tuple[list[int], int]:
+    """Split ``total`` replications into about four chunks per worker.
+
+    Returns the chunk bounds and the pool size: ``workers`` capped by the CPU
+    count and by the number of chunks.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    chunk = max(min_chunk, -(-total // (workers * 4)))
+    bounds = list(range(0, total, chunk)) + [total]
+    return bounds, min(workers, os.cpu_count() or 1, len(bounds) - 1)
 
 
 def _ratio_draw(kind: str, rng: np.random.Generator, grid_steps: int) -> float:
@@ -86,11 +100,10 @@ def simulate_null(
         raise ValueError(f"replications must be >= 1000, got {replications}")
     _check_seed(seed)
 
-    if workers <= 1:
+    bounds, workers = plan_chunks(replications, workers, min_chunk=1000)
+    if workers == 1:
         draws = _simulate_chunk(kind, grid_steps, seed, 0, replications)
     else:
-        chunk = max(1000, -(-replications // (workers * 4)))
-        bounds = list(range(0, replications, chunk)) + [replications]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 _simulate_chunk,
@@ -117,6 +130,19 @@ def quantile(sample: NullSample, level: float) -> float:
         raise ValueError(f"level must be in (0, 1), got {level}")
     rank = math.ceil(level * sample.replications)
     return float(sample.draws[rank - 1])
+
+
+def critical_value(sample: NullSample, alpha: float) -> float:
+    """The (1 - alpha) quantile a test at level ``alpha`` rejects above.
+
+    Refuses a level below the p-value resolution 1/(N+1) of the sample, where
+    even the largest draw would not give a test of size alpha.
+    """
+    if alpha * (sample.replications + 1) < 1:
+        raise ConfigurationError(
+            f"alpha={alpha:g} is below the resolution 1/(N+1) of N={sample.replications} draws"
+        )
+    return quantile(sample, 1.0 - alpha)
 
 
 def p_value(sample: NullSample, observed: float) -> float:

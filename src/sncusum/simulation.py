@@ -19,7 +19,7 @@ from scipy.signal import lfilter
 from sncusum import stats
 from sncusum.blocks import PartialSumGrid, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
-from sncusum.nulldist import FULL_RATIO, SIMPLE_RATIO, NullSample, quantile
+from sncusum.nulldist import FULL_RATIO, SIMPLE_RATIO, NullSample, critical_value, plan_chunks
 
 ERROR_MODELS = ("iid", "ma", "ar")
 ALL_TESTS = (stats.METHOD_LRV, stats.METHOD_SIMPLE, stats.METHOD_FULL_V1, stats.METHOD_FULL_V2)
@@ -174,19 +174,13 @@ def _scenario_chunk(scenario: Scenario, tests, nulls, start: int, stop: int):
     alpha = scenario.alpha
     thresholds = {}
     if stats.METHOD_SIMPLE in tests:
-        thresholds[stats.METHOD_SIMPLE] = quantile(nulls[SIMPLE_RATIO], 1 - alpha)
-    if stats.METHOD_FULL_V1 in tests:
-        params = stats.TestParams.v1(alpha)
-        thresholds[stats.METHOD_FULL_V1] = (
-            params,
-            params.threshold_factor * quantile(nulls[FULL_RATIO], 1 - alpha),
-        )
-    if stats.METHOD_FULL_V2 in tests:
-        params = stats.TestParams.v2(alpha)
-        thresholds[stats.METHOD_FULL_V2] = (
-            params,
-            params.threshold_factor * quantile(nulls[FULL_RATIO], 1 - alpha),
-        )
+        thresholds[stats.METHOD_SIMPLE] = critical_value(nulls[SIMPLE_RATIO], alpha)
+    for name, rule in ((stats.METHOD_FULL_V1, stats.TestParams.v1),
+                       (stats.METHOD_FULL_V2, stats.TestParams.v2)):
+        if name in tests:
+            params = rule(alpha)
+            q = critical_value(nulls[FULL_RATIO], alpha)
+            thresholds[name] = (params, params.threshold_factor * q)
 
     rejections = {name: 0 for name in tests}
     degenerate = {name: 0 for name in tests}
@@ -227,11 +221,10 @@ def run_scenario(
 
     started = time.perf_counter()
     reps = scenario.replications
-    if workers <= 1 or reps < 2 * workers:
+    bounds, workers = plan_chunks(reps, workers, min_chunk=1)
+    if workers == 1 or reps < 2 * workers:
         rejections, degenerate = _scenario_chunk(scenario, tests, nulls, 0, reps)
     else:
-        chunk = max(1, -(-reps // (workers * 4)))
-        bounds = list(range(0, reps, chunk)) + [reps]
         njobs = len(bounds) - 1
         rejections = {name: 0 for name in tests}
         degenerate = {name: 0 for name in tests}

@@ -91,7 +91,7 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
 
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
-    """Simple ratio statistic from a precomputed lattice."""
+    """Simple ratio statistic from the ordinary process and the knot margins."""
     cfg = grid.cfg
     last = cfg.n_knots
     if last < 2:
@@ -108,54 +108,29 @@ def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
 
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
-    """Full ratio statistic from a precomputed lattice."""
-    cfg = grid.cfg
-    k0, k1, last = _knot_indices(cfg, t0, t1)
-    numerator = np.abs(numerator_values(grid, k0)).max()
-    denominator = np.abs(denominator_values(grid, k0, k1)).max()
+    """Full ratio statistic from the process rows at knots k0, k1 and last."""
+    k0, k1, last = _knot_indices(grid.cfg, t0, t1)
+    early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
+    numerator = np.abs(numerator_values(early)).max()
+    contrast = contrast_values(early, mid, late, (k1 - k0) / (last - k0))
+    denominator = np.abs(_bridge_area(contrast, grid.cfg.n)).max()
     if denominator == 0.0:
         raise DegenerateStatisticError("self-normalizer is zero (constant series?)")
     return float(numerator / denominator)
 
 
-def numerator_values(grid: PartialSumGrid, k0: int) -> np.ndarray:
-    """Numerator process of the full rule on the s-grid, from knot index k0."""
-    return math.sqrt(grid.cfg.n) * _bridge_area(grid.knot_rows[k0], grid.cfg.n)
+def numerator_values(early: np.ndarray) -> np.ndarray:
+    """Numerator process of the full rule on the s-grid, from the row at knot k0."""
+    n = early.size - 1
+    return math.sqrt(n) * _bridge_area(early, n)
 
 
-def contrast_values(grid: PartialSumGrid, k0: int, k1: int) -> np.ndarray:
-    """Between-knot contrast on the s-grid: the slice increment from knot k0
-    to k1 minus its share of the increment from k0 to the last knot."""
-    cfg = grid.cfg
-    last = cfg.n_knots
-    early, mid, late = grid.knot_rows[k0], grid.knot_rows[k1], grid.knot_rows[last]
-    ratio = (k1 - k0) / (last - k0)
-    return math.sqrt(cfg.n) * (mid - early - ratio * (late - early))
-
-
-def denominator_values(grid: PartialSumGrid, k0: int, k1: int) -> np.ndarray:
-    """Denominator process of the full rule: integrated contrast deviation."""
-    return _bridge_area(contrast_values(grid, k0, k1), grid.cfg.n)
-
-
-def numerator_process(x, cfg: BlockConfig, t0: float) -> np.ndarray:
-    """Numerator process over the s-grid {j/n : j=0..n}."""
-    grid = PartialSumGrid.compute(x, cfg)
-    return numerator_values(grid, knot_of(cfg, t0))
-
-
-def block_contrast(x, cfg: BlockConfig, t0: float, t1: float) -> np.ndarray:
-    """Between-knot contrast process over the s-grid."""
-    grid = PartialSumGrid.compute(x, cfg)
-    k0, k1, _ = _knot_indices(cfg, t0, t1)
-    return contrast_values(grid, k0, k1)
-
-
-def denominator_process(x, cfg: BlockConfig, t0: float, t1: float) -> np.ndarray:
-    """Denominator process of the full rule over the s-grid."""
-    grid = PartialSumGrid.compute(x, cfg)
-    k0, k1, _ = _knot_indices(cfg, t0, t1)
-    return denominator_values(grid, k0, k1)
+def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
+                    ratio: float) -> np.ndarray:
+    """Between-knot contrast on the s-grid, from the rows at knots k0, k1 and
+    last: the slice increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0)
+    times the increment from k0 to the last knot."""
+    return math.sqrt(early.size - 1) * (mid - early - ratio * (late - early))
 
 
 def simple_statistic(x, cfg: BlockConfig) -> float:
@@ -179,8 +154,8 @@ def decide_simple(x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOu
         raise ValueError(f"alpha={alpha} not in (0, 1)")
     if null.kind != nulldist.SIMPLE_RATIO:
         raise ConfigurationError(f"need a {nulldist.SIMPLE_RATIO} sample, got {null.kind}")
+    q = nulldist.critical_value(null, alpha)
     statistic = simple_statistic(x, cfg)
-    q = nulldist.quantile(null, 1.0 - alpha)
     return TestOutcome(
         method=METHOD_SIMPLE,
         statistic=statistic,
@@ -195,8 +170,8 @@ def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> Te
     """Run the constant-mean test against a simulated full-ratio null sample."""
     if null.kind != nulldist.FULL_RATIO:
         raise ConfigurationError(f"need a {nulldist.FULL_RATIO} sample, got {null.kind}")
+    q = nulldist.critical_value(null, params.alpha)
     statistic = full_statistic(x, cfg, params.t0, params.t1)
-    q = nulldist.quantile(null, 1.0 - params.alpha)
     factor = params.threshold_factor
     threshold = factor * q
     return TestOutcome(
@@ -238,10 +213,13 @@ def cusum_lrv_test(x, alpha: float = 0.05, bandwidth: int | None = None) -> Test
     n = x.size
     csum = np.cumsum(x)
     statistic = float(np.abs(csum - np.arange(1, n + 1) / n * csum[-1]).max() / math.sqrt(n))
-    sigma2 = lrv_estimate(x, bandwidth)
+    # The estimate squares window sums, which overflow for large data; an
+    # exact power-of-two pre-scale keeps it finite and leaves sigma unchanged.
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    sigma2 = lrv_estimate(np.ldexp(x, -exponent), bandwidth)
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
-    sigma = math.sqrt(sigma2)
+    sigma = math.ldexp(math.sqrt(sigma2), exponent)
     q = nulldist.kolmogorov_quantile(1.0 - alpha)
     return TestOutcome(
         method=METHOD_LRV,

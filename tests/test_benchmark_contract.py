@@ -1,0 +1,38 @@
+"""The functions the benchmark's traced run wraps must keep their names.
+
+``perfbench/layers.py`` times each layer by replacing these functions on
+their modules (``PartialSumGrid.compute`` as a classmethod) and indexes the
+recorded spans; a rename or a call that bypasses the module attribute drops
+a layer from ``perfbench/run.py --trace 1``.
+"""
+
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from sncusum import stats
+from sncusum.blocks import PartialSumGrid, make_block_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_targets_exist_and_record_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+
+    targets = layers._targets()
+    for owner, attr, name in targets:
+        assert callable(getattr(owner, attr, None)), name
+    assert isinstance(inspect.getattr_static(PartialSumGrid, "compute"), classmethod)
+
+    x = np.random.default_rng(0).standard_normal(500)
+    cfg = make_block_config(500)
+    tracer = tracing.Tracer()
+    with tracer.installed(targets):
+        stats.full_statistic(x, cfg, 1 / 3, 1 / 2)
+        stats.simple_statistic(x, cfg)
+    assert tracer.counts["blocks.PartialSumGrid.compute"] == 2
+    assert tracer.counts["stats.full_statistic_from_grid"] == 1
+    assert tracer.counts["stats.simple_statistic_from_grid"] == 1

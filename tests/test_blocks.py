@@ -7,14 +7,12 @@ from sncusum import blocks
 from sncusum.blocks import (
     BlockConfig,
     PartialSumGrid,
-    coarsened_partial_sum,
+    knot_of,
     make_block_config,
     partial_sum,
     permutation,
     permute_index,
-    rescaled_time,
 )
-from sncusum.errors import ConfigurationError
 
 import oracles
 
@@ -133,39 +131,24 @@ def test_single_index_increment_bound():
 
 
 def test_coarsened_hand_cases():
-    assert coarsened_partial_sum(X4, CFG4, 0.0, 0.7) == 0.0
-    # floor(0.6 * 4 / 2) * 2 / 4 = 0.5
-    assert coarsened_partial_sum(X4, CFG4, 0.6, 1) == pytest.approx(1.0)
-    assert coarsened_partial_sum(X4, CFG4, 1, 0.5) == pytest.approx(
-        partial_sum(X4, CFG4, 1.0, 0.5)
-    )
+    grid = PartialSumGrid.compute(X4, CFG4)  # 2 blocks of 2, knots at t = 0, 1/2, 1
+    assert not grid.row(0).any()
+    # t=0.6 snaps down to knot 1 (t=1/2): the first element of each block
+    np.testing.assert_allclose(grid.row(knot_of(CFG4, 0.6)), [0.0, 0.25, 0.25, 1.0, 1.0])
+    assert grid.row(2)[2] == partial_sum(X4, CFG4, 1.0, 0.5)
 
 
 def test_coarsened_piecewise_constant_in_t():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(60)
     cfg = make_block_config(60, 6)  # n_blocks=10, knots every 1/6
+    grid = PartialSumGrid.compute(x, cfg)
     width = cfg.n_blocks / cfg.n
     for k in range(cfg.n_knots):
         left = k * width
         for frac in (0.0, 0.37, 0.93):
-            t = left + frac * width * 0.999
-            assert coarsened_partial_sum(x, cfg, t, 0.8) == pytest.approx(
-                coarsened_partial_sum(x, cfg, left, 0.8), abs=1e-15
-            )
-
-
-def test_rescaled_time_values():
-    assert rescaled_time(1.0, CFG4) == 1.0
-    assert rescaled_time(0.5, CFG4) == 0.0
-    cfg = make_block_config(100)
-    assert rescaled_time(0.6, cfg) == pytest.approx(0.5)
-
-
-def test_rescaled_time_needs_two_knots():
-    cfg = make_block_config(8, 1)  # n_blocks = 8, single coarse step
-    with pytest.raises(ConfigurationError):
-        rescaled_time(0.5, cfg)
+            assert knot_of(cfg, left + frac * width * 0.999) == k
+        assert grid.row(k)[48] == partial_sum(x, cfg, left, 0.8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +179,7 @@ def test_grid_rows_match_brute_force():
         for k in range(cfg.n_knots + 1):
             t = k * cfg.n_blocks / n
             for j in (0, n // 3, n):
-                assert grid.knot_rows[k, j] == pytest.approx(
+                assert grid.row(k)[j] == pytest.approx(
                     oracles.partial_sum(x, cfg, t, j / n), abs=1e-12
                 )
 
@@ -204,14 +187,15 @@ def test_grid_rows_match_brute_force():
 def test_grid_margins_and_coarse_value():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(50)
-    cfg = make_block_config(50, 7)
+    cfg = make_block_config(50, 7)  # 7 blocks of 7 plus one leftover index
     grid = PartialSumGrid.compute(x, cfg)
     margins = grid.knot_margins()
+    assert margins.shape == (cfg.n_knots + 1,)
     for k in range(cfg.n_knots + 1):
         t = k * cfg.n_blocks / cfg.n
-        assert margins[k] == pytest.approx(coarsened_partial_sum(x, cfg, t, 1.0))
-    assert grid.coarse_value(0.55, 0.4) == pytest.approx(
-        coarsened_partial_sum(x, cfg, 0.55, 0.4)
+        assert margins[k] == pytest.approx(oracles.partial_sum(x, cfg, t, 1.0), abs=1e-14)
+    assert grid.row(knot_of(cfg, 0.55))[20] == pytest.approx(
+        oracles.coarse_partial_sum(x, cfg, 0.55, 0.4), abs=1e-14
     )
 
 

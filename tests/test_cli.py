@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,34 @@ def test_cmd_test_lrv_needs_no_cache(capsys, gauss_csv):
     code, out, _ = run_cli(capsys, ["test", "--input", str(gauss_csv), "--method", "lrv"])
     assert code == 0
     assert json.loads(out)["method"] == "r_lrv"
+
+
+def test_cmd_test_lrv_finite_at_extreme_scale(capsys, tmp_path):
+    # window sums of 1e200-scale data overflow when squared; the output must
+    # stay strict JSON and the scale-invariant decision must not change
+    x = np.random.default_rng(3).standard_normal(400)
+    x[200:] += 1.0
+    results = []
+    for scale in (1.0, 1e200):
+        path = tmp_path / f"scaled{scale:g}.csv"
+        write_series(path, scale * x)
+        code, out, _ = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv"])
+        assert code == 0
+        results.append(json.loads(out, parse_constant=lambda c: pytest.fail(f"emitted {c}")))
+    assert math.isfinite(results[1]["threshold"])
+    assert results[1]["reject"] == results[0]["reject"] is True
+
+
+def test_cmd_test_refuses_unresolvable_alpha(capsys, cache_dir, gauss_csv):
+    # 2000 draws resolve p-values down to 1/2001 only
+    for method in ("simple", "full-v2"):
+        code, out, err = run_cli(
+            capsys,
+            ["test", "--input", str(gauss_csv), "--method", method, "--alpha", "1e-4",
+             "--null-cache", str(cache_dir)],
+        )
+        assert (code, out) == (1, "")
+        assert "resolution" in err
 
 
 def test_cmd_test_null_pvalues_approximately_uniform(capsys, cache_dir, tmp_path):
@@ -253,6 +282,21 @@ def test_simulate_bad_grid_spec(capsys, cache_dir, tmp_path):
     )
     assert code == 1
     assert "grid" in err
+
+
+def test_workers_below_one_exit_one(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys,
+        ["nulldist", "--steps", "100", "--reps", "1000", "--workers", "0",
+         "--out", str(tmp_path / "null")],
+    )
+    assert code == 1 and "workers" in err
+    code, _, err = run_cli(
+        capsys,
+        ["simulate", "--grid", "n=100", "--reps", "5", "--tests", "r_lrv",
+         "--workers", "-3", "--out", str(tmp_path / "sim")],
+    )
+    assert code == 1 and "workers" in err
 
 
 # --- validate subcommand ---------------------------------------------------------------

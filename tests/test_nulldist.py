@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
-from sncusum.errors import CacheFormatError, CacheProvenanceError
+from sncusum.errors import CacheFormatError, CacheProvenanceError, ConfigurationError
 from sncusum.nulldist import (
     FULL_RATIO,
     SIMPLE_RATIO,
     NullSample,
     QuantileTable,
+    critical_value,
     kolmogorov_cdf,
     kolmogorov_quantile,
     load_sample,
     p_value,
+    plan_chunks,
     quantile,
     save_sample,
     simulate_null,
@@ -40,6 +43,8 @@ def test_simulate_null_validation():
         simulate_null(FULL_RATIO, 100, 999, 0)
     with pytest.raises(ValueError):
         simulate_null(FULL_RATIO, 100, 1000, -1)
+    with pytest.raises(ValueError):
+        simulate_null(FULL_RATIO, 100, 1000, 0, workers=0)
 
 
 def test_draws_positive_finite_sorted(null_full_small, null_simple_small):
@@ -54,6 +59,19 @@ def test_simulation_deterministic_across_workers():
     one = simulate_null(SIMPLE_RATIO, 200, 2000, seed=7, workers=1)
     many = simulate_null(SIMPLE_RATIO, 200, 2000, seed=7, workers=3)
     assert np.array_equal(one.draws, many.draws)
+
+
+def test_plan_chunks_caps_pool(monkeypatch):
+    # only plans the split; no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bounds, pool = plan_chunks(100_000, 10**6, min_chunk=1000)
+    assert (bounds[0], bounds[-1], len(bounds), pool) == (0, 100_000, 101, 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert plan_chunks(3000, 8, min_chunk=1000) == ([0, 1000, 2000, 3000], 3)
+    assert plan_chunks(40, 1, min_chunk=1) == ([0, 10, 20, 30, 40], 1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            plan_chunks(1000, workers, min_chunk=1)
 
 
 def test_denominator_marginal_mean():
@@ -120,6 +138,13 @@ def test_quantile_level_validation(null_full_small):
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             quantile(null_full_small, bad)
+
+
+def test_critical_value_refuses_unresolvable_alpha(null_full_small):
+    assert critical_value(null_full_small, 0.05) == quantile(null_full_small, 0.95)
+    critical_value(null_full_small, 1 / 4000)  # alpha * (N + 1) >= 1
+    with pytest.raises(ConfigurationError):
+        critical_value(null_full_small, 1e-4)
 
 
 def test_p_value_extremes(null_full_small):

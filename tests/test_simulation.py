@@ -194,6 +194,19 @@ def test_run_scenario_worker_count_invariant(nulls):
     assert serial.degenerate == parallel.degenerate
 
 
+def test_run_scenario_refuses_bad_level_and_workers(nulls):
+    sc = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
+                  n=100, replications=5, alpha=1e-4)
+    for test in ("sn_simple", "sn_full_v1", "sn_full_v2"):
+        with pytest.raises(ConfigurationError):
+            run_scenario(sc, tests=(test,), nulls=nulls)
+    sc = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
+                  n=100, replications=5)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            run_scenario(sc, tests=("r_lrv",), workers=workers)
+
+
 # --- aggregation and CSV --------------------------------------------------------------
 
 def test_single_cell_aggregation_matches_scenario(nulls):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sncusum import nulldist, stats
-from sncusum.blocks import make_block_config, permutation
+from sncusum.blocks import PartialSumGrid, knot_of, make_block_config, permutation
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
 
 X4 = np.array([1.0, 2.0, 3.0, 4.0])
 CFG4 = make_block_config(4, 2)
+
+
+def contrast_rows(x, cfg, t0, t1):
+    """Process rows at knots k0, k1 and last, and the contrast ratio."""
+    grid = PartialSumGrid.compute(x, cfg)
+    k0, k1, last = knot_of(cfg, t0), knot_of(cfg, t1), cfg.n_knots
+    return grid.row(k0), grid.row(k1), grid.row(last), (k1 - k0) / (last - k0)
+
+
+def numerator(x, cfg, t0):
+    return stats.numerator_values(PartialSumGrid.compute(x, cfg).row(knot_of(cfg, t0)))
+
+
+def contrast(x, cfg, t0, t1):
+    return stats.contrast_values(*contrast_rows(x, cfg, t0, t1))
+
+
+def denominator(x, cfg, t0, t1):
+    return stats._bridge_area(contrast(x, cfg, t0, t1), cfg.n)
 
 
 # --- simple statistic -------------------------------------------------------
@@ -36,6 +56,12 @@ def test_simple_statistic_matches_oracle():
         )
 
 
+def test_simple_statistic_needs_two_knots():
+    cfg = make_block_config(8, 1)  # n_blocks = 8, single coarse step
+    with pytest.raises(ConfigurationError):
+        stats.simple_statistic(np.arange(1.0, 9.0), cfg)
+
+
 def test_simple_statistic_degenerate_on_zero_series():
     with pytest.raises(DegenerateStatisticError):
         stats.simple_statistic(np.zeros(20), make_block_config(20, 4))
@@ -55,13 +81,13 @@ def test_simple_statistic_scale_invariant(c, sign, seed):
 
 def test_numerator_process_hand_pins():
     # n=4, b=2, t0=1/2: derived once from the literal double-loop oracle
-    got = stats.numerator_process(X4, CFG4, 0.5)
+    got = numerator(X4, CFG4, 0.5)
     np.testing.assert_allclose(got, [0.0, 0.0, 0.0625, -0.25, 0.0], atol=1e-14)
     np.testing.assert_allclose(got, oracles.numerator_process(X4, CFG4, 0.5), atol=1e-14)
 
 
 def test_numerator_process_zero_series():
-    assert not stats.numerator_process(np.zeros(30), make_block_config(30, 5), 0.4).any()
+    assert not numerator(np.zeros(30), make_block_config(30, 5), 0.4).any()
 
 
 def test_numerator_process_centered_under_zero_mean():
@@ -73,30 +99,30 @@ def test_numerator_process_centered_under_zero_mean():
     vals = np.empty(reps)
     for rep in range(reps):
         x = np.random.default_rng([5, rep]).standard_normal(n)
-        vals[rep] = stats.numerator_process(x, cfg, 1 / 3)[n // 2]
+        vals[rep] = numerator(x, cfg, 1 / 3)[n // 2]
     assert abs(vals.mean()) < 3 * vals.std() / math.sqrt(reps)
 
 
 # --- contrast and denominator process ---------------------------------------
 
 def test_contrast_zero_series():
-    assert not stats.block_contrast(np.zeros(60), make_block_config(60, 6), 1 / 3, 2 / 3).any()
+    assert not contrast(np.zeros(60), make_block_config(60, 6), 1 / 3, 2 / 3).any()
 
 
 def test_contrast_constant_cancels_exactly_at_full_blocks():
     # n = block_length * n_blocks: the knot counts cancel at s=1
     cfg = make_block_config(64, 8)
     assert cfg.n == cfg.block_length * cfg.n_blocks
-    contrast = stats.block_contrast(np.full(64, 3.7), cfg, 1 / 3, 2 / 3)
-    assert abs(contrast[-1]) < 1e-12
+    values = contrast(np.full(64, 3.7), cfg, 1 / 3, 2 / 3)
+    assert abs(values[-1]) < 1e-12
 
 
 def test_contrast_linear_in_series():
     rng = np.random.default_rng(9)
     cfg = make_block_config(60, 6)
     x, y = rng.standard_normal(60), rng.standard_normal(60)
-    lhs = stats.block_contrast(x + y, cfg, 1 / 3, 1 / 2)
-    rhs = stats.block_contrast(x, cfg, 1 / 3, 1 / 2) + stats.block_contrast(y, cfg, 1 / 3, 1 / 2)
+    lhs = contrast(x + y, cfg, 1 / 3, 1 / 2)
+    rhs = contrast(x, cfg, 1 / 3, 1 / 2) + contrast(y, cfg, 1 / 3, 1 / 2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -108,13 +134,13 @@ def test_denominator_matches_oracle():
         if cfg.n_knots <= 3:
             continue
         x = rng.standard_normal(n)
-        got = stats.denominator_process(x, cfg, 1 / 3, 2 / 3)
+        got = denominator(x, cfg, 1 / 3, 2 / 3)
         want = oracles.denominator_process(x, cfg, 1 / 3, 2 / 3)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_denominator_zero_series():
-    assert not stats.denominator_process(np.zeros(60), make_block_config(60, 6), 1 / 3, 1 / 2).any()
+    assert not denominator(np.zeros(60), make_block_config(60, 6), 1 / 3, 1 / 2).any()
 
 
 # --- full statistic ---------------------------------------------------------
@@ -126,6 +152,28 @@ def test_full_statistic_pinned_regression_value():
     assert stats.full_statistic(x, cfg, 1 / 3, 1 / 2) == pytest.approx(
         1.4520420366669888, abs=1e-9
     )
+
+
+def test_full_statistic_pinned_bits():
+    # exact bits of the first release, whose dense lattice summed the same
+    # terms in the same order as the row kernel
+    x = np.random.default_rng(2000).standard_normal(2000)
+    cfg = make_block_config(2000)
+    assert stats.full_statistic(x, cfg, 1 / 3, 1 / 2).hex() == "0x1.4ff190395a9eep+1"
+    assert stats.full_statistic(x, cfg, 1 / 3, 2 / 3).hex() == "0x1.58c1a0f91348fp+1"
+
+
+def test_full_statistic_memory_is_linear():
+    # a few length-n rows; a (n_knots+1) x n lattice at n=1e5 needs ~175 MB
+    x = np.random.default_rng(1).standard_normal(100_000)
+    cfg = make_block_config(100_000)
+    tracemalloc.start()
+    try:
+        stats.full_statistic(x, cfg, 1 / 3, 1 / 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_full_statistic_matches_oracle():
