@@ -46,17 +46,24 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
-def plan_chunks(total: int, workers: int, min_chunk: int) -> tuple[list[int], int]:
-    """Split ``total`` replications into about four chunks per worker.
-
-    Returns the chunk bounds and the pool size: ``workers`` capped by the CPU
-    count and by the number of chunks.
-    """
+def plan_chunks(total: int, workers: int, min_chunk: int) -> list[int]:
+    """Split ``total`` replications into about four chunks per worker; returns
+    the chunk bounds."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunk = max(min_chunk, -(-total // (workers * 4)))
-    bounds = list(range(0, total, chunk)) + [total]
-    return bounds, min(workers, os.cpu_count() or 1, len(bounds) - 1)
+    return list(range(0, total, chunk)) + [total]
+
+
+def map_chunks(fn, tasks, workers: int) -> list:
+    """``[fn(*task) for task in tasks]`` (a list) through one process pool of
+    min(workers, CPU count, number of tasks) processes, or in this process
+    when that is 1.  Results keep the order of ``tasks``."""
+    size = min(workers, os.cpu_count() or 1, len(tasks))
+    if size <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _ratio_draw(kind: str, rng: np.random.Generator, grid_steps: int) -> float:
@@ -100,20 +107,9 @@ def simulate_null(
         raise ValueError(f"replications must be >= 1000, got {replications}")
     _check_seed(seed)
 
-    bounds, workers = plan_chunks(replications, workers, min_chunk=1000)
-    if workers == 1:
-        draws = _simulate_chunk(kind, grid_steps, seed, 0, replications)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _simulate_chunk,
-                [kind] * (len(bounds) - 1),
-                [grid_steps] * (len(bounds) - 1),
-                [seed] * (len(bounds) - 1),
-                bounds[:-1],
-                bounds[1:],
-            )
-            draws = np.concatenate(list(parts))
+    bounds = plan_chunks(replications, workers, min_chunk=1000)
+    tasks = [(kind, grid_steps, seed, start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
+    draws = np.concatenate(map_chunks(_simulate_chunk, tasks, workers))
     draws.sort()
     return NullSample(
         kind=kind,
@@ -273,8 +269,8 @@ def load_sample(
         raise CacheFormatError(
             f"cache {path} holds {draws.size} draws, header claims {file_n}"
         )
-    if np.any(np.diff(draws) < 0):
-        raise CacheFormatError(f"draws in {path} are not sorted ascending")
+    if not np.all(np.isfinite(draws) & (draws > 0)) or np.any(np.diff(draws) < 0):
+        raise CacheFormatError(f"draws in {path} are not finite, positive and sorted ascending")
     return NullSample(
         kind=file_kind,
         draws=draws,

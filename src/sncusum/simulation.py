@@ -7,7 +7,7 @@ models.  Every replication draws from an RNG stream keyed by
 count or scheduling.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 import csv
 from dataclasses import dataclass, field
 import math
@@ -19,10 +19,16 @@ from scipy.signal import lfilter
 from sncusum import stats
 from sncusum.blocks import PartialSumGrid, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
-from sncusum.nulldist import FULL_RATIO, SIMPLE_RATIO, NullSample, critical_value, plan_chunks
+from sncusum.nulldist import (
+    FULL_RATIO, SIMPLE_RATIO, NullSample, critical_value, map_chunks, plan_chunks,
+)
 
 ERROR_MODELS = ("iid", "ma", "ar")
 ALL_TESTS = (stats.METHOD_LRV, stats.METHOD_SIMPLE, stats.METHOD_FULL_V1, stats.METHOD_FULL_V2)
+_FULL_RULES = {
+    stats.METHOD_FULL_V1: stats.TestParams.v1,
+    stats.METHOD_FULL_V2: stats.TestParams.v2,
+}
 
 MEAN_LABELS = tuple(f"mu{i}" for i in range(7))
 SIGMA_LABELS = tuple(f"sigma{i}" for i in range(4))
@@ -129,7 +135,9 @@ class Scenario:
 @dataclass
 class ScenarioResult:
     """Empirical rejection rates of one scenario, with degenerate draws
-    counted separately (never as rejections)."""
+    counted separately (never as rejections).  ``wall_clock`` sums the run
+    times of the cell's replication chunks, each timed in the process that
+    ran it, so with several workers it can exceed the elapsed time."""
 
     scenario: Scenario
     rejections: dict[str, int]
@@ -157,52 +165,50 @@ def gen_series(scenario: Scenario, replication: int) -> np.ndarray:
     )
 
 
-def _check_nulls(tests, nulls) -> None:
-    needed = set()
-    if stats.METHOD_SIMPLE in tests:
-        needed.add(SIMPLE_RATIO)
-    if stats.METHOD_FULL_V1 in tests or stats.METHOD_FULL_V2 in tests:
-        needed.add(FULL_RATIO)
-    missing = needed - set(nulls or {})
-    if missing:
-        raise ConfigurationError(f"missing null sample(s) for: {sorted(missing)}")
-
-
-def _scenario_chunk(scenario: Scenario, tests, nulls, start: int, stop: int):
-    """Count rejections and degenerate draws over one replication range."""
-    cfg = make_block_config(scenario.n, scenario.block_length)
-    alpha = scenario.alpha
+def _thresholds(scenario: Scenario, tests, nulls) -> dict[str, float]:
+    """Rejection threshold of every self-normalized test at the cell's level."""
     thresholds = {}
-    if stats.METHOD_SIMPLE in tests:
-        thresholds[stats.METHOD_SIMPLE] = critical_value(nulls[SIMPLE_RATIO], alpha)
-    for name, rule in ((stats.METHOD_FULL_V1, stats.TestParams.v1),
-                       (stats.METHOD_FULL_V2, stats.TestParams.v2)):
-        if name in tests:
-            params = rule(alpha)
-            q = critical_value(nulls[FULL_RATIO], alpha)
-            thresholds[name] = (params, params.threshold_factor * q)
+    for name in tests:
+        if name == stats.METHOD_LRV:
+            continue
+        kind = SIMPLE_RATIO if name == stats.METHOD_SIMPLE else FULL_RATIO
+        if kind not in nulls:
+            raise ConfigurationError(f"missing null sample for {name}: {kind}")
+        threshold = critical_value(nulls[kind], scenario.alpha)
+        if name in _FULL_RULES:
+            threshold *= _FULL_RULES[name](scenario.alpha).threshold_factor
+        thresholds[name] = threshold
+    return thresholds
 
-    rejections = {name: 0 for name in tests}
-    degenerate = {name: 0 for name in tests}
+
+def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, stop: int):
+    """Count rejections and degenerate draws over one replication range.
+
+    Returns both counts per test and the seconds the range took.
+    """
+    started = time.perf_counter()
+    cfg = make_block_config(scenario.n, scenario.block_length)
+    splits = {name: rule(scenario.alpha) for name, rule in _FULL_RULES.items()}
+    rejections = dict.fromkeys(tests, 0)
+    degenerate = dict.fromkeys(tests, 0)
     for rep in range(start, stop):
         x = gen_series(scenario, rep)
         grid = PartialSumGrid.compute(x, cfg)
         for name in tests:
             try:
                 if name == stats.METHOD_LRV:
-                    rejected = stats.cusum_lrv_test(x, alpha).reject
+                    rejected = stats.cusum_lrv_test(x, scenario.alpha).reject
                 elif name == stats.METHOD_SIMPLE:
                     rejected = stats.simple_statistic_from_grid(grid) > thresholds[name]
                 else:
-                    params, threshold = thresholds[name]
-                    rejected = (
-                        stats.full_statistic_from_grid(grid, params.t0, params.t1) > threshold
-                    )
+                    params = splits[name]
+                    statistic = stats.full_statistic_from_grid(grid, params.t0, params.t1)
+                    rejected = statistic > thresholds[name]
             except DegenerateStatisticError:
                 degenerate[name] += 1
                 continue
             rejections[name] += int(rejected)
-    return rejections, degenerate
+    return rejections, degenerate, time.perf_counter() - started
 
 
 def run_scenario(
@@ -212,41 +218,7 @@ def run_scenario(
     workers: int = 1,
 ) -> ScenarioResult:
     """Run all replications of one scenario and tally rejection rates."""
-    tests = tuple(tests)
-    unknown = set(tests) - set(ALL_TESTS)
-    if unknown:
-        raise ConfigurationError(f"unknown test identifier(s): {sorted(unknown)}")
-    _check_nulls(tests, nulls)
-    nulls = nulls or {}
-
-    started = time.perf_counter()
-    reps = scenario.replications
-    bounds, workers = plan_chunks(reps, workers, min_chunk=1)
-    if workers == 1 or reps < 2 * workers:
-        rejections, degenerate = _scenario_chunk(scenario, tests, nulls, 0, reps)
-    else:
-        njobs = len(bounds) - 1
-        rejections = {name: 0 for name in tests}
-        degenerate = {name: 0 for name in tests}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _scenario_chunk,
-                [scenario] * njobs,
-                [tests] * njobs,
-                [nulls] * njobs,
-                bounds[:-1],
-                bounds[1:],
-            )
-            for rej, deg in parts:
-                for name in tests:
-                    rejections[name] += rej[name]
-                    degenerate[name] += deg[name]
-    return ScenarioResult(
-        scenario=scenario,
-        rejections=rejections,
-        degenerate=degenerate,
-        wall_clock=time.perf_counter() - started,
-    )
+    return run_grid([scenario], tests=tests, nulls=nulls, workers=workers)[0]
 
 
 def run_grid(
@@ -255,8 +227,42 @@ def run_grid(
     nulls: dict[str, NullSample] | None = None,
     workers: int = 1,
 ) -> list[ScenarioResult]:
-    """Run a list of scenarios; replications parallelize within each cell."""
-    return [run_scenario(sc, tests=tests, nulls=nulls, workers=workers) for sc in scenarios]
+    """Run a list of scenarios through one worker pool.
+
+    The thresholds of every cell are looked up here, so a missing null sample
+    or an unresolvable level fails before any worker starts.  Each task is one
+    (cell, replication range) pair carrying the cell's thresholds.
+    """
+    scenarios = list(scenarios)
+    tests = tuple(tests)
+    unknown = set(tests) - set(ALL_TESTS)
+    if unknown:
+        raise ConfigurationError(f"unknown test identifier(s): {sorted(unknown)}")
+    tasks, owners = [], []
+    for index, scenario in enumerate(scenarios):
+        thresholds = _thresholds(scenario, tests, nulls or {})
+        bounds = plan_chunks(scenario.replications, workers, min_chunk=1)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            tasks.append((scenario, tests, thresholds, start, stop))
+            owners.append(index)
+
+    rejections = [Counter() for _ in scenarios]
+    degenerate = [Counter() for _ in scenarios]
+    seconds = [0.0] * len(scenarios)
+    parts = map_chunks(_scenario_chunk, tasks, workers)
+    for index, (rej, deg, elapsed) in zip(owners, parts):
+        rejections[index].update(rej)
+        degenerate[index].update(deg)
+        seconds[index] += elapsed
+    return [
+        ScenarioResult(
+            scenario=sc,
+            rejections={name: rej[name] for name in tests},
+            degenerate={name: deg[name] for name in tests},
+            wall_clock=elapsed,
+        )
+        for sc, rej, deg, elapsed in zip(scenarios, rejections, degenerate, seconds)
+    ]
 
 
 _GROUP_FIELDS = {

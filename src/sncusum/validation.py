@@ -131,22 +131,11 @@ def check_mean_formula(
     x = mean_value(mean, sample_points) if isinstance(mean, int) else np.vectorize(mean)(sample_points)
     x = np.asarray(x, dtype=float)
 
-    t_grid = np.linspace(0.0, 1.0, grid_points)
-    s_grid = np.linspace(0.0, 1.0, grid_points)
-    integral_cache: dict[float, float] = {}
-
-    def upto(v: float) -> float:
-        if v not in integral_cache:
-            integral_cache[v] = _mean_integral(mean, 0.0, v)
-        return integral_cache[v]
-
+    grid = np.linspace(0.0, 1.0, grid_points)
     worst = 0.0
-    for t in t_grid:
-        m = _floor_index(t * cfg.n)
-        k = m // cfg.n_blocks
-        lower = (m - k * cfg.n_blocks) * cfg.block_length / cfg.n
-        for s in s_grid:
-            approx = (k * upto(s) - (upto(s) - upto(lower))) / cfg.block_length
+    for t in grid:
+        for s in grid:
+            approx = expected_partial_sum(mean, cfg, t, s)
             worst = max(worst, abs(approx - partial_sum(x, cfg, t, s)))
     return OracleReport(
         name=f"mean-formula-{label or mean}-n{n}",
@@ -170,12 +159,11 @@ def check_fclt_variance(
     standard deviation over [0, 1].
     """
     target = SIGMA_SQUARED_INTEGRALS[sigma_id]
-    cfg = make_block_config(n)
     scale = sigma_value(sigma_id, np.arange(1, n + 1) / n)
     values = np.empty(replications)
     for rep in range(replications):
         x = scale * gen_errors("iid", n, [seed, rep])
-        values[rep] = math.sqrt(n) * partial_sum(x, cfg, 1.0, 1.0)
+        values[rep] = x.sum() / math.sqrt(n)  # sqrt(n) times the process at t = s = 1
     deviation = abs(float(np.var(values, ddof=1)) - target) / target
     return OracleReport(
         name=f"fclt-variance-sigma{sigma_id}",

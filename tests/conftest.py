@@ -21,3 +21,34 @@ def null_full_small():
     return nulldist.simulate_null(
         nulldist.FULL_RATIO, grid_steps=300, replications=4000, seed=9002
     )
+
+
+class FakePool:
+    """Stands in for ``ProcessPoolExecutor``: records its size and the
+    arguments of every task, and runs the tasks in this process."""
+
+    def __init__(self, built, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+        built.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        tasks = list(zip(*iterables))
+        self.tasks.extend(tasks)
+        return [fn(*task) for task in tasks]
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Every pool ``nulldist.map_chunks`` builds, in order; no worker starts."""
+    built = []
+    monkeypatch.setattr(
+        nulldist, "ProcessPoolExecutor", lambda max_workers: FakePool(built, max_workers)
+    )
+    return built

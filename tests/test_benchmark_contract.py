@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sncusum import stats
+from sncusum import simulation, stats
 from sncusum.blocks import PartialSumGrid, make_block_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,3 +36,13 @@ def test_traced_targets_exist_and_record_spans(monkeypatch):
     assert tracer.counts["blocks.PartialSumGrid.compute"] == 2
     assert tracer.counts["stats.full_statistic_from_grid"] == 1
     assert tracer.counts["stats.simple_statistic_from_grid"] == 1
+
+    # the traced simulation probe reads one run_scenario span per call, with
+    # the per-replication series spans inside it
+    cell = simulation.Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
+                               n=100, replications=5)
+    tracer = tracing.Tracer()
+    with tracer.installed(targets):
+        simulation.run_scenario(cell, tests=("r_lrv",), workers=1)
+    assert tracer.counts["simulation.run_scenario"] == 1
+    assert tracer.counts["simulation.gen_series"] == 5

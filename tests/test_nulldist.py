@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 
 import numpy as np
@@ -17,6 +18,7 @@ from sncusum.nulldist import (
     kolmogorov_cdf,
     kolmogorov_quantile,
     load_sample,
+    map_chunks,
     p_value,
     plan_chunks,
     quantile,
@@ -61,14 +63,20 @@ def test_simulation_deterministic_across_workers():
     assert np.array_equal(one.draws, many.draws)
 
 
-def test_plan_chunks_caps_pool(monkeypatch):
-    # only plans the split; no pool is started
+def test_plan_chunks_caps_pool(monkeypatch, fake_pools):
+    # plan_chunks splits; map_chunks sizes the pool (a fake: no worker starts)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    bounds, pool = plan_chunks(100_000, 10**6, min_chunk=1000)
-    assert (bounds[0], bounds[-1], len(bounds), pool) == (0, 100_000, 101, 2)
+    bounds = plan_chunks(100_000, 10**6, min_chunk=1000)
+    assert (bounds[0], bounds[-1], len(bounds)) == (0, 100_000, 101)
+    chunks = list(zip(bounds[1:], bounds[:-1]))
+    assert map_chunks(operator.sub, chunks, 10**6) == [1000] * 100
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert plan_chunks(3000, 8, min_chunk=1000) == ([0, 1000, 2000, 3000], 3)
-    assert plan_chunks(40, 1, min_chunk=1) == ([0, 10, 20, 30, 40], 1)
+    assert plan_chunks(3000, 8, min_chunk=1000) == [0, 1000, 2000, 3000]
+    assert map_chunks(operator.sub, [(3, 1)] * 3, 8) == [2] * 3
+    assert plan_chunks(40, 1, min_chunk=1) == [0, 10, 20, 30, 40]
+    assert map_chunks(operator.sub, [(3, 1)] * 4, 1) == [2] * 4
+    # capped by the CPU count, then by the task count; one worker builds none
+    assert [pool.max_workers for pool in fake_pools] == [2, 3]
     for workers in (0, -3):
         with pytest.raises(ValueError):
             plan_chunks(1000, workers, min_chunk=1)
@@ -274,3 +282,18 @@ def test_cache_rejects_corruption(tmp_path, null_simple_small):
     (tmp_path / "bad5.snq").write_text(notnum + "\n")
     with pytest.raises(CacheFormatError):
         load_sample(tmp_path / "bad5.snq")
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [("nan", "1.0", "2.0"), ("1.0", "2.0", "inf"), ("-1.0", "1.0", "2.0"), ("0.0", "1.0", "2.0")],
+)
+def test_cache_rejects_non_finite_or_non_positive_draws(tmp_path, draws):
+    # every ratio draw is finite and positive; np.loadtxt parses these lines
+    # and a NaN passes the ascending-order check
+    path = tmp_path / "e.snq"
+    path.write_text("\n".join(["snq v1 full-ratio m=100 N=3 seed=0", *draws]) + "\n")
+    with pytest.raises(CacheFormatError):
+        load_sample(path)
+    path.write_text("\n".join(["snq v1 full-ratio m=100 N=3 seed=0", "0.5", "1.0", "2.0"]) + "\n")
+    assert load_sample(path).draws.tolist() == [0.5, 1.0, 2.0]

@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -192,6 +196,49 @@ def test_run_scenario_worker_count_invariant(nulls):
     parallel = run_scenario(sc, nulls=nulls, workers=2)
     assert serial.rejections == parallel.rejections
     assert serial.degenerate == parallel.degenerate
+
+    cells = scenario_cells([0, 3], [2], [0.5], ["iid", "ar"], [100], replications=30, seed=4)
+    serial = run_grid(cells, nulls=nulls, workers=1)
+    parallel = run_grid(cells, nulls=nulls, workers=2)
+    assert [r.scenario for r in parallel] == cells
+    assert [r.rejections for r in serial] == [r.rejections for r in parallel]
+    assert [r.degenerate for r in serial] == [r.degenerate for r in parallel]
+    assert [r.rejections for r in serial[:2]] != [r.rejections for r in serial[2:]]
+
+
+def test_run_grid_builds_one_capped_pool_of_thresholds(monkeypatch, fake_pools, nulls):
+    cells = scenario_cells([0], [0], [1.0], ["iid", "ma", "ar"], [100], replications=6, seed=7)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    pooled = run_grid(cells, nulls=nulls, workers=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run_grid(cells, nulls=nulls, workers=8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_grid([dataclasses.replace(cells[0], replications=2)], nulls=nulls, workers=8)
+    # one pool per run, capped by the worker count, the CPU count, the task count
+    assert [pool.max_workers for pool in fake_pools] == [2, 3, 2]
+
+    tasks = fake_pools[0].tasks
+    assert sorted({task[0] for task in tasks}, key=cells.index) == cells
+    for task in tasks:
+        assert not any(isinstance(arg, nulldist.NullSample) for arg in task)
+        assert all(isinstance(v, float) for v in task[2].values())
+        assert len(pickle.dumps(task)) < 1000
+    serial = run_grid(cells, nulls=nulls, workers=1)
+    assert len(fake_pools) == 3
+    assert [r.rejections for r in serial] == [r.rejections for r in pooled]
+
+
+def test_run_grid_refuses_before_building_a_pool(monkeypatch, fake_pools, nulls):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    good = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
+                    n=100, replications=5)
+    unresolvable = dataclasses.replace(good, alpha=1e-4)
+    with pytest.raises(ConfigurationError):
+        run_grid([good, unresolvable], tests=("sn_full_v2",), nulls=nulls, workers=2)
+    with pytest.raises(ConfigurationError):
+        run_grid([good, good], tests=("r_lrv", "sn_simple"),
+                 nulls={nulldist.FULL_RATIO: nulls[nulldist.FULL_RATIO]}, workers=2)
+    assert fake_pools == []
 
 
 def test_run_scenario_refuses_bad_level_and_workers(nulls):
