@@ -43,17 +43,24 @@ from sncusum.nulldist import (
     save_sample,
     simulate_null,
 )
-from sncusum.simulation import (
-    ERROR_MODELS,
-    Scenario,
-    ScenarioResult,
-    gen_errors,
-    gen_series,
-    mean_value,
-    run_grid,
-    run_scenario,
-    sigma_value,
-)
+# The simulation engine imports scipy; it loads on first use of one of its names.
+_SIMULATION_NAMES = frozenset((
+    "ERROR_MODELS", "Scenario", "ScenarioResult", "gen_errors", "gen_series",
+    "mean_value", "run_grid", "run_scenario", "sigma_value",
+))
+
+
+def __getattr__(name):
+    if name in _SIMULATION_NAMES:
+        from sncusum import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SIMULATION_NAMES)
+
 
 __version__ = "0.1.0"
 

@@ -14,7 +14,7 @@ import os
 from pathlib import Path
 import sys
 
-from sncusum import nulldist, simulation, stats, validation
+from sncusum import nulldist, stats
 from sncusum.blocks import as_series, make_block_config
 from sncusum.errors import (
     CacheFormatError,
@@ -192,6 +192,8 @@ def _parse_grid_spec(spec: str) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from sncusum import simulation
+
     settings = _parse_grid_spec(args.grid)
     tests = tuple(t.strip() for t in args.tests.split(",")) if args.tests else simulation.ALL_TESTS
     scenarios = simulation.scenario_cells(
@@ -237,6 +239,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from sncusum import validation
+
     reports = validation.run_all_checks(strict=args.strict, seed=args.seed)
     print(json.dumps([r.to_dict() for r in reports], indent=2))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_USAGE

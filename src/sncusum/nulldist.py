@@ -124,7 +124,12 @@ def quantile(sample: NullSample, level: float) -> float:
     """Empirical quantile: the order statistic at rank ceil(level * N)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    rank = math.ceil(level * sample.replications)
+    # A product a few ulps off an integer is float error, not a fraction of a
+    # rank: (1 - 0.059) * 1000 is 941.0000000000001, and its ceiling is 942.
+    product = level * sample.replications
+    rank = round(product)
+    if abs(product - rank) > 16 * math.ulp(product):
+        rank = math.ceil(product)
     return float(sample.draws[rank - 1])
 
 

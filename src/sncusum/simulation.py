@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+# At module top on purpose: forked pool workers inherit it instead of re-importing.
 from scipy.signal import lfilter
 
 from sncusum import stats

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,6 +301,44 @@ def test_workers_below_one_exit_one(capsys, tmp_path):
          "--workers", "-3", "--out", str(tmp_path / "sim")],
     )
     assert code == 1 and "workers" in err
+
+
+# --- import boundary -------------------------------------------------------------------
+
+IMPORT_PROBE = """
+import json, sys
+from sncusum import cli
+tmp = sys.argv[1]
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m in ("sncusum.simulation", "sncusum.validation"))
+after_import = heavy()
+run("nulldist", "--steps", "100", "--reps", "1000", "--out", tmp + "/cache")
+for method in ("simple", "full-v1", "full-v2", "lrv"):
+    run("test", "--input", tmp + "/x.csv", "--method", method, "--null-cache", tmp + "/cache")
+after_test = heavy()
+run("simulate", "--grid", "n=100", "--reps", "5", "--tests", "r_lrv", "--out", tmp + "/sim")
+print(json.dumps([after_import, after_test, "scipy.signal" in sys.modules]))
+"""
+
+
+def test_cold_test_and_nulldist_import_no_scipy(tmp_path):
+    # `test` and `nulldist` must not pay for scipy; `simulate` must import
+    # scipy.signal before its pool forks, so that workers inherit it.
+    write_series(tmp_path / "x.csv", np.random.default_rng(1).standard_normal(200))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_test, simulate_loads_lfilter = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_test == []
+    assert simulate_loads_lfilter
 
 
 # --- validate subcommand ---------------------------------------------------------------

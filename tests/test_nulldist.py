@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 import operator
 import os
@@ -132,6 +133,18 @@ def test_quantile_rank_convention():
     assert quantile(sample, 0.95) == 10.0  # ceil(9.5) = 10th order statistic
     assert quantile(sample, 0.5) == 5.0
     assert quantile(sample, 0.05) == 1.0
+
+
+def test_critical_value_rank_is_exact_for_decimal_alpha():
+    # draws 1..N, so the critical value is its own rank
+    alphas = [f"0.{i:03d}" for i in range(1, 1000)]
+    for n in (1000, 2000, 5000, 10000, 100000):
+        sample = small_sample(np.arange(1.0, n + 1.0))
+        wrong = [
+            alpha for alpha in alphas
+            if critical_value(sample, float(alpha)) != math.ceil((1 - Fraction(alpha)) * n)
+        ]
+        assert wrong == [], f"N={n}: {len(wrong)} wrong ranks, first alpha={wrong[:3]}"
 
 
 @settings(max_examples=50, deadline=None)

@@ -326,3 +326,20 @@ def test_csv_outputs(tmp_path, nulls):
     again = tmp_path / "cells2.csv"
     write_cells_csv(results, again, "meta test")
     assert again.read_bytes() == cells_path.read_bytes()
+
+
+# --- lazy package root ----------------------------------------------------------
+
+def test_package_root_resolves_simulation_names_lazily():
+    import sncusum
+
+    assert set(sncusum.__all__) <= set(dir(sncusum))
+    for name in sncusum.__all__:
+        assert getattr(sncusum, name) is not None, name
+    namespace = {}
+    exec("from sncusum import *", namespace)
+    assert set(sncusum.__all__) <= set(namespace)
+    assert namespace["ERROR_MODELS"] is simulation.ERROR_MODELS
+    assert sncusum.run_grid is sncusum.simulation.run_grid
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sncusum.no_such_name
