@@ -50,7 +50,7 @@ def emit(results, out_dir, stem, metadata, by):
         write_aggregate_csv(rows, ("n", key), out_dir / f"{stem}_by_{key}.csv", metadata)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--mode", choices=["null", "alternative", "both"], default="both")
     parser.add_argument("--reps", type=int, default=1000, help="replications per cell")
@@ -64,7 +64,7 @@ def main() -> int:
                         help="Monte-Carlo draws for the pivotal quantiles")
     parser.add_argument("--full", action="store_true",
                         help="full alternative grid (all sigma, c, error models)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",")]
     out_dir = Path(args.out)
@@ -77,27 +77,31 @@ def main() -> int:
         f"block=auto(n^0.375) null_reps={args.null_reps}"
     )
 
+    null_cells, alternative_cells = [], []
     if args.mode in ("null", "both"):
-        print("running null grid ...", file=sys.stderr)
-        cells = scenario_cells(
+        null_cells = scenario_cells(
             [0], range(4), [0.25, 0.5, 1.0], ["iid", "ma", "ar"], sizes,
             replications=args.reps, seed=args.seed,
         )
-        results = run_grid(cells, nulls=nulls, workers=args.workers)
-        emit(results, out_dir, "null", metadata, by=("errors", "sigma", "c_sigma"))
-
     if args.mode in ("alternative", "both"):
-        print("running alternative grid ...", file=sys.stderr)
         if args.full:
             sigma_ids, c_values, models = range(4), [0.25, 0.5, 1.0], ["iid", "ma", "ar"]
         else:
             sigma_ids, c_values, models = [0], [0.25, 1.0], ["iid"]
-        cells = scenario_cells(
+        alternative_cells = scenario_cells(
             range(1, 7), sigma_ids, c_values, models, sizes,
             replications=args.reps, seed=args.seed,
         )
-        results = run_grid(cells, nulls=nulls, workers=args.workers)
-        emit(results, out_dir, "alternative", metadata, by=("mean",))
+
+    print(f"running {len(null_cells)} null and {len(alternative_cells)} alternative cells ...",
+          file=sys.stderr)
+    # One run_grid call, so one worker pool serves both grids.
+    results = run_grid(null_cells + alternative_cells, nulls=nulls, workers=args.workers)
+    if null_cells:
+        emit(results[:len(null_cells)], out_dir, "null", metadata,
+             by=("errors", "sigma", "c_sigma"))
+    if alternative_cells:
+        emit(results[len(null_cells):], out_dir, "alternative", metadata, by=("mean",))
 
     print(f"tables written to {out_dir}/", file=sys.stderr)
     return 0

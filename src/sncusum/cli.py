@@ -30,10 +30,12 @@ EXIT_IO = 3
 
 CACHE_ENV = "SN_CUSUM_CACHE"
 
-_METHOD_KINDS = {
-    "simple": nulldist.SIMPLE_RATIO,
-    "full-v1": nulldist.FULL_RATIO,
-    "full-v2": nulldist.FULL_RATIO,
+# `test --method` names of the test ids.
+_METHODS = {
+    "simple": stats.METHOD_SIMPLE,
+    "full-v1": stats.METHOD_FULL_V1,
+    "full-v2": stats.METHOD_FULL_V2,
+    "lrv": stats.METHOD_LRV,
 }
 
 
@@ -98,7 +100,8 @@ def cmd_test(args) -> int:
     n = x.size
     cfg = make_block_config(n, args.block_size)
 
-    if args.method == "lrv":
+    test_id = _METHODS[args.method]
+    if test_id == stats.METHOD_LRV:
         outcome = stats.cusum_lrv_test(x, args.alpha)
     else:
         if n < 4 * cfg.n_blocks:
@@ -106,13 +109,12 @@ def cmd_test(args) -> int:
                 f"series too short: n={n} < 4 * n_blocks={4 * cfg.n_blocks}; "
                 "use a longer series or a larger --block-size"
             )
-        null = _load_null(args.null_cache, _METHOD_KINDS[args.method])
-        if args.method == "simple":
+        kind, preset = stats.RULES[test_id]
+        null = _load_null(args.null_cache, kind)
+        if preset is None:
             outcome = stats.decide_simple(x, cfg, args.alpha, null)
-        elif args.method == "full-v1":
-            outcome = stats.decide_full(x, cfg, stats.TestParams.v1(args.alpha), null)
         else:
-            outcome = stats.decide_full(x, cfg, stats.TestParams.v2(args.alpha), null)
+            outcome = stats.decide_full(x, cfg, preset(args.alpha), null)
 
     result = {
         "method": outcome.method,
@@ -128,15 +130,19 @@ def cmd_test(args) -> int:
 
 
 def cmd_nulldist(args) -> int:
+    seeds = {kind: args.seed + offset
+             for offset, kind in enumerate((nulldist.SIMPLE_RATIO, nulldist.FULL_RATIO))}
+    for seed in seeds.values():  # before any cache is written
+        nulldist.check_seed(seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for offset, kind in enumerate((nulldist.SIMPLE_RATIO, nulldist.FULL_RATIO)):
+    for kind, seed in seeds.items():
         sample = nulldist.simulate_null(
             kind,
             grid_steps=args.steps,
             replications=args.reps,
-            seed=args.seed + offset,
+            seed=seed,
             workers=args.workers,
         )
         path = out / f"{kind}.snq"
@@ -208,10 +214,9 @@ def cmd_simulate(args) -> int:
         block_length=args.block_size,
     )
     nulls = {}
-    if stats.METHOD_SIMPLE in tests:
-        nulls[nulldist.SIMPLE_RATIO] = _load_null(args.null_cache, nulldist.SIMPLE_RATIO)
-    if stats.METHOD_FULL_V1 in tests or stats.METHOD_FULL_V2 in tests:
-        nulls[nulldist.FULL_RATIO] = _load_null(args.null_cache, nulldist.FULL_RATIO)
+    for name, (kind, _) in stats.RULES.items():
+        if name in tests and kind not in nulls:
+            nulls[kind] = _load_null(args.null_cache, kind)
 
     results = simulation.run_grid(scenarios, tests=tests, nulls=nulls, workers=args.workers)
 
@@ -309,7 +314,7 @@ def _build_parser() -> _Parser:
     p_test.add_argument(
         "--method",
         required=True,
-        choices=["simple", "full-v1", "full-v2", "lrv"],
+        choices=list(_METHODS),
         help="decision rule to apply",
     )
     p_test.add_argument("--alpha", type=float, default=0.05, help="test level (default 0.05)")

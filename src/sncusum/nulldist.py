@@ -12,7 +12,6 @@ by (seed, replication index), so results are bit-identical for any worker
 count or scheduling order.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
@@ -41,7 +40,8 @@ class NullSample:
     seed: int
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a 64-bit unsigned integer."""
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
@@ -62,6 +62,9 @@ def map_chunks(fn, tasks, workers: int) -> list:
     size = min(workers, os.cpu_count() or 1, len(tasks))
     if size <= 1:
         return [fn(*task) for task in tasks]
+    # Imported here: `sn-cusum test` never builds a pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
@@ -105,7 +108,7 @@ def simulate_null(
         raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
     if replications < 1000:
         raise ValueError(f"replications must be >= 1000, got {replications}")
-    _check_seed(seed)
+    check_seed(seed)
 
     bounds = plan_chunks(replications, workers, min_chunk=1000)
     tasks = [(kind, grid_steps, seed, start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]

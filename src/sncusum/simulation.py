@@ -20,16 +20,10 @@ from scipy.signal import lfilter
 from sncusum import stats
 from sncusum.blocks import PartialSumGrid, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
-from sncusum.nulldist import (
-    FULL_RATIO, SIMPLE_RATIO, NullSample, critical_value, map_chunks, plan_chunks,
-)
+from sncusum.nulldist import NullSample, map_chunks, plan_chunks
 
 ERROR_MODELS = ("iid", "ma", "ar")
-ALL_TESTS = (stats.METHOD_LRV, stats.METHOD_SIMPLE, stats.METHOD_FULL_V1, stats.METHOD_FULL_V2)
-_FULL_RULES = {
-    stats.METHOD_FULL_V1: stats.TestParams.v1,
-    stats.METHOD_FULL_V2: stats.TestParams.v2,
-}
+ALL_TESTS = stats.ALL_TESTS
 
 MEAN_LABELS = tuple(f"mu{i}" for i in range(7))
 SIGMA_LABELS = tuple(f"sigma{i}" for i in range(4))
@@ -170,15 +164,13 @@ def _thresholds(scenario: Scenario, tests, nulls) -> dict[str, float]:
     """Rejection threshold of every self-normalized test at the cell's level."""
     thresholds = {}
     for name in tests:
-        if name == stats.METHOD_LRV:
+        if name not in stats.RULES:
             continue
-        kind = SIMPLE_RATIO if name == stats.METHOD_SIMPLE else FULL_RATIO
+        kind, preset = stats.RULES[name]
         if kind not in nulls:
             raise ConfigurationError(f"missing null sample for {name}: {kind}")
-        threshold = critical_value(nulls[kind], scenario.alpha)
-        if name in _FULL_RULES:
-            threshold *= _FULL_RULES[name](scenario.alpha).threshold_factor
-        thresholds[name] = threshold
+        factor = preset(scenario.alpha).threshold_factor if preset else 1.0
+        _, thresholds[name] = stats.rule_threshold(nulls[kind], kind, scenario.alpha, factor)
     return thresholds
 
 
@@ -189,7 +181,7 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
     """
     started = time.perf_counter()
     cfg = make_block_config(scenario.n, scenario.block_length)
-    splits = {name: rule(scenario.alpha) for name, rule in _FULL_RULES.items()}
+    splits = {name: preset(scenario.alpha) for name, (_, preset) in stats.RULES.items() if preset}
     rejections = dict.fromkeys(tests, 0)
     degenerate = dict.fromkeys(tests, 0)
     for rep in range(start, stop):
@@ -199,12 +191,12 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
             try:
                 if name == stats.METHOD_LRV:
                     rejected = stats.cusum_lrv_test(x, scenario.alpha).reject
-                elif name == stats.METHOD_SIMPLE:
-                    rejected = stats.simple_statistic_from_grid(grid) > thresholds[name]
-                else:
+                elif name in splits:
                     params = splits[name]
                     statistic = stats.full_statistic_from_grid(grid, params.t0, params.t1)
                     rejected = statistic > thresholds[name]
+                else:
+                    rejected = stats.simple_statistic_from_grid(grid) > thresholds[name]
             except DegenerateStatisticError:
                 degenerate[name] += 1
                 continue
@@ -275,6 +267,18 @@ _GROUP_FIELDS = {
 }
 
 
+def _rate_row(group_keys, members) -> dict:
+    """Replication-weighted rates of ``members``, labelled by the group keys
+    of the first one."""
+    total = sum(r.scenario.replications for r in members)
+    row = {k: _GROUP_FIELDS[k](members[0].scenario) for k in group_keys}
+    row["replications"] = total
+    for name in members[0].rejections:
+        row[name] = sum(r.rejections[name] for r in members) / total
+    row["degenerate"] = sum(sum(r.degenerate.values()) for r in members)
+    return row
+
+
 def aggregate_rates(results, group_keys=("n",)) -> list[dict]:
     """Replication-weighted mean rejection rates, grouped by scenario fields.
 
@@ -287,19 +291,8 @@ def aggregate_rates(results, group_keys=("n",)) -> list[dict]:
     for res in results:
         key = tuple(_GROUP_FIELDS[k](res.scenario) for k in group_keys)
         groups.setdefault(key, []).append(res)
-
-    rows = []
-    for key in sorted(groups, key=lambda k: tuple(map(str, k))):
-        members = groups[key]
-        total = sum(r.scenario.replications for r in members)
-        row = dict(zip(group_keys, key))
-        row["replications"] = total
-        test_names = list(members[0].rejections)
-        for name in test_names:
-            row[name] = sum(r.rejections[name] for r in members) / total
-        row["degenerate"] = sum(sum(r.degenerate.values()) for r in members)
-        rows.append(row)
-    return rows
+    return [_rate_row(group_keys, groups[key])
+            for key in sorted(groups, key=lambda k: tuple(map(str, k)))]
 
 
 def _format_value(value) -> str:
@@ -309,36 +302,14 @@ def _format_value(value) -> str:
 
 
 def write_cells_csv(results, path, metadata: str = "") -> None:
-    """One row per scenario cell, rejection rates to 6 decimals.
+    """One row per scenario cell, in the order given, rejection rates to 6
+    decimals.
 
     Output is byte-identical for a fixed seed regardless of worker count;
     a leading comment line carries the run metadata.
     """
-    results = list(results)
-    test_names = list(results[0].rejections) if results else list(ALL_TESTS)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        if metadata:
-            fh.write(f"# {metadata}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mean", "sigma", "c_sigma", "errors", "n", "replications"]
-            + test_names
-            + ["degenerate"]
-        )
-        for res in results:
-            sc = res.scenario
-            writer.writerow(
-                [
-                    MEAN_LABELS[sc.mean_id],
-                    SIGMA_LABELS[sc.sigma_id],
-                    _format_value(sc.c_sigma),
-                    sc.error_model,
-                    sc.n,
-                    sc.replications,
-                ]
-                + [f"{res.rates[name]:.6f}" for name in test_names]
-                + [sum(res.degenerate.values())]
-            )
+    keys = tuple(_GROUP_FIELDS)
+    write_aggregate_csv([_rate_row(keys, [res]) for res in results], keys, path, metadata)
 
 
 def write_aggregate_csv(rows, group_keys, path, metadata: str = "") -> None:

@@ -54,6 +54,16 @@ class TestParams:
         )
 
 
+# Every self-normalized test: the null kind it reads and, for the full rules,
+# the ``TestParams`` preset (called with alpha) that fixes its split points.
+RULES = {
+    METHOD_SIMPLE: (nulldist.SIMPLE_RATIO, None),
+    METHOD_FULL_V1: (nulldist.FULL_RATIO, TestParams.v1),
+    METHOD_FULL_V2: (nulldist.FULL_RATIO, TestParams.v2),
+}
+ALL_TESTS = (METHOD_LRV, *RULES)
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of one test run; ``reject`` is exactly ``statistic > threshold``."""
@@ -148,34 +158,39 @@ def full_statistic(x, cfg: BlockConfig, t0: float, t1: float) -> float:
     return full_statistic_from_grid(PartialSumGrid.compute(x, cfg), t0, t1)
 
 
-def decide_simple(x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOutcome:
-    """Run the zero-mean test against a simulated simple-ratio null sample."""
+def rule_threshold(null: NullSample, kind: str, alpha: float,
+                   factor: float = 1.0) -> tuple[float, float]:
+    """The (1 - alpha) quantile of a ``kind`` null sample and the rejection
+    threshold ``factor`` times it."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    if null.kind != nulldist.SIMPLE_RATIO:
-        raise ConfigurationError(f"need a {nulldist.SIMPLE_RATIO} sample, got {null.kind}")
+    if null.kind != kind:
+        raise ConfigurationError(f"need a {kind} sample, got {null.kind}")
     q = nulldist.critical_value(null, alpha)
+    return q, factor * q
+
+
+def decide_simple(x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOutcome:
+    """Run the zero-mean test against a simulated simple-ratio null sample."""
+    q, threshold = rule_threshold(null, nulldist.SIMPLE_RATIO, alpha)
     statistic = simple_statistic(x, cfg)
     return TestOutcome(
         method=METHOD_SIMPLE,
         statistic=statistic,
-        threshold=q,
+        threshold=threshold,
         quantile=q,
         p_value=nulldist.p_value(null, statistic),
-        reject=statistic > q,
+        reject=statistic > threshold,
     )
 
 
 def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> TestOutcome:
     """Run the constant-mean test against a simulated full-ratio null sample."""
-    if null.kind != nulldist.FULL_RATIO:
-        raise ConfigurationError(f"need a {nulldist.FULL_RATIO} sample, got {null.kind}")
-    q = nulldist.critical_value(null, params.alpha)
-    statistic = full_statistic(x, cfg, params.t0, params.t1)
     factor = params.threshold_factor
-    threshold = factor * q
+    q, threshold = rule_threshold(null, nulldist.FULL_RATIO, params.alpha, factor)
+    statistic = full_statistic(x, cfg, params.t0, params.t1)
     return TestOutcome(
-        method=f"sn_full_{params.tag}" if params.tag else "sn_full",
+        method=f"sn_full_{params.tag}",
         statistic=statistic,
         threshold=threshold,
         quantile=q,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import sys
 from pathlib import Path
 
@@ -46,9 +47,14 @@ class FakePool:
 
 @pytest.fixture
 def fake_pools(monkeypatch):
-    """Every pool ``nulldist.map_chunks`` builds, in order; no worker starts."""
+    """Every pool ``nulldist.map_chunks`` builds, in order; no worker starts.
+
+    ``map_chunks`` imports ``ProcessPoolExecutor`` from ``concurrent.futures``
+    when it builds a pool, so the fake replaces it there.
+    """
     built = []
     monkeypatch.setattr(
-        nulldist, "ProcessPoolExecutor", lambda max_workers: FakePool(built, max_workers)
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: FakePool(built, max_workers),
     )
     return built

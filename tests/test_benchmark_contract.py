@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sncusum import simulation, stats
+from sncusum import cli, simulation, stats
 from sncusum.blocks import PartialSumGrid, make_block_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,3 +46,22 @@ def test_traced_targets_exist_and_record_spans(monkeypatch):
         simulation.run_scenario(cell, tests=("r_lrv",), workers=1)
     assert tracer.counts["simulation.run_scenario"] == 1
     assert tracer.counts["simulation.gen_series"] == 5
+
+
+def test_cli_test_records_one_decide_span(monkeypatch, tmp_path, capsys):
+    # the main probe reads the decision time of a cold `test` from this span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+
+    assert cli.main(["nulldist", "--steps", "100", "--reps", "1000", "--out", str(tmp_path)]) == 0
+    series = tmp_path / "x.csv"
+    np.savetxt(series, np.random.default_rng(1).standard_normal(500))
+    for method, span in (("full-v2", "stats.decide_full"), ("simple", "stats.decide_simple")):
+        tracer = tracing.Tracer()
+        with tracer.installed(layers._targets()):
+            argv = ["test", "--input", str(series), "--method", method,
+                    "--null-cache", str(tmp_path)]
+            assert cli.main(argv) == 0
+        assert tracer.counts[span] == 1, method
+    capsys.readouterr()

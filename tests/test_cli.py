@@ -241,6 +241,18 @@ def test_nulldist_seed_sensitivity(capsys, tmp_path):
     assert abs(qs["21"] - qs["22"]) / qs["21"] < 0.15
 
 
+def test_nulldist_seed_overflow_writes_no_cache(capsys, tmp_path):
+    # the full-ratio sample takes seed + 1, which leaves the 64-bit range
+    out = tmp_path / "null"
+    code, _, err = run_cli(
+        capsys,
+        ["nulldist", "--steps", "100", "--reps", "1000", "--seed", str(2**64 - 1),
+         "--out", str(out)],
+    )
+    assert code == 1 and "seed" in err
+    assert list(out.glob("*.snq")) == []
+
+
 # --- simulate subcommand --------------------------------------------------------------
 
 def test_simulate_smoke_cell(capsys, cache_dir, tmp_path):
@@ -313,7 +325,8 @@ def run(*argv):
     assert cli.main(list(argv)) == 0, argv
 def heavy():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                  or m in ("sncusum.simulation", "sncusum.validation"))
+                  or m in ("sncusum.simulation", "sncusum.validation",
+                           "concurrent.futures.process"))
 after_import = heavy()
 run("nulldist", "--steps", "100", "--reps", "1000", "--out", tmp + "/cache")
 for method in ("simple", "full-v1", "full-v2", "lrv"):
@@ -325,8 +338,9 @@ print(json.dumps([after_import, after_test, "scipy.signal" in sys.modules]))
 
 
 def test_cold_test_and_nulldist_import_no_scipy(tmp_path):
-    # `test` and `nulldist` must not pay for scipy; `simulate` must import
-    # scipy.signal before its pool forks, so that workers inherit it.
+    # `test` and `nulldist` (at one worker) must not pay for scipy or for the
+    # process-pool module; `simulate` must import scipy.signal before its
+    # pool forks, so that workers inherit it.
     write_series(tmp_path / "x.csv", np.random.default_rng(1).standard_normal(200))
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

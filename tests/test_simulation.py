@@ -1,11 +1,14 @@
 import dataclasses
+import importlib.util
 import os
+from pathlib import Path
 import pickle
 
 import numpy as np
 import pytest
 
 from sncusum import nulldist, simulation, stats
+from sncusum.blocks import make_block_config
 from sncusum.errors import ConfigurationError
 from sncusum.simulation import (
     Scenario,
@@ -241,6 +244,58 @@ def test_run_grid_refuses_before_building_a_pool(monkeypatch, fake_pools, nulls)
     assert fake_pools == []
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.05])
+def test_simulate_applies_the_rules_test_applies(monkeypatch, fake_pools, nulls, alpha):
+    # a cell where every test rejects some replications and accepts others
+    cell = Scenario(mean_id=3, sigma_id=2, c_sigma=1.5, error_model="ar", n=200,
+                    replications=20, alpha=alpha, seed=8)
+    cfg = make_block_config(cell.n)
+    simple, full = nulls[nulldist.SIMPLE_RATIO], nulls[nulldist.FULL_RATIO]
+    decide = {
+        "r_lrv": lambda x: stats.cusum_lrv_test(x, alpha),
+        "sn_simple": lambda x: stats.decide_simple(x, cfg, alpha, simple),
+        "sn_full_v1": lambda x: stats.decide_full(x, cfg, stats.TestParams.v1(alpha), full),
+        "sn_full_v2": lambda x: stats.decide_full(x, cfg, stats.TestParams.v2(alpha), full),
+    }
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_grid([cell], tests=tuple(decide), nulls=nulls, workers=2)
+    (pool,) = fake_pools
+    x = gen_series(cell, 0)
+    for task in pool.tasks:
+        assert set(task[2]) == {"sn_simple", "sn_full_v1", "sn_full_v2"}
+        for name, threshold in task[2].items():
+            assert threshold.hex() == decide[name](x).threshold.hex(), name
+
+    counts, degenerate, _ = simulation._scenario_chunk(
+        cell, tuple(decide), pool.tasks[0][2], 0, cell.replications)
+    series = [gen_series(cell, rep) for rep in range(cell.replications)]
+    expected = {name: sum(rule(x).reject for x in series) for name, rule in decide.items()}
+    assert counts == expected
+    assert all(0 < count < cell.replications for count in counts.values())
+    assert degenerate == dict.fromkeys(decide, 0)
+
+
+def test_reproduce_tables_runs_both_grids_through_one_pool(monkeypatch, fake_pools, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", script)
+    reproduce_tables = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reproduce_tables)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["--reps", "2", "--sizes", "100", "--null-reps", "1000", "--workers", "2",
+            "--out", str(tmp_path)]
+    assert reproduce_tables.main(argv) == 0
+    # 1000 null draws per kind make one chunk each, so the grid's is the only pool
+    (pool,) = fake_pools
+    assert pool.max_workers == 2
+    assert len({task[0] for task in pool.tasks}) == 36 + 12  # null + alternative cells
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "alternative_by_mean.csv", "alternative_cells.csv", "null_by_c_sigma.csv",
+        "null_by_errors.csv", "null_by_sigma.csv", "null_cells.csv",
+    ]
+    assert len((tmp_path / "null_cells.csv").read_text().splitlines()) == 2 + 36
+    assert len((tmp_path / "alternative_cells.csv").read_text().splitlines()) == 2 + 12
+
+
 def test_run_scenario_refuses_bad_level_and_workers(nulls):
     sc = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                   n=100, replications=5, alpha=1e-4)
@@ -326,6 +381,11 @@ def test_csv_outputs(tmp_path, nulls):
     again = tmp_path / "cells2.csv"
     write_cells_csv(results, again, "meta test")
     assert again.read_bytes() == cells_path.read_bytes()
+
+    for empty in (lambda path: write_cells_csv([], path),
+                  lambda path: write_aggregate_csv([], ("n",), path)):
+        with pytest.raises(ValueError, match="nothing to aggregate"):
+            empty(tmp_path / "empty.csv")
 
 
 # --- lazy package root ----------------------------------------------------------
