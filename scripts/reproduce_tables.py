@@ -26,7 +26,7 @@ from sncusum.simulation import (
 
 def load_or_simulate_nulls(cache_dir, steps, reps, seed, workers):
     nulls = {}
-    for offset, kind in enumerate((nulldist.SIMPLE_RATIO, nulldist.FULL_RATIO)):
+    for kind, kind_seed in nulldist.kind_seeds(seed).items():
         path = Path(cache_dir) / f"{kind}.snq" if cache_dir else None
         if path is not None and path.exists():
             nulls[kind] = nulldist.load_sample(path, kind=kind)
@@ -34,7 +34,7 @@ def load_or_simulate_nulls(cache_dir, steps, reps, seed, workers):
         else:
             print(f"simulating {kind} null ({reps} draws) ...", file=sys.stderr)
             nulls[kind] = nulldist.simulate_null(
-                kind, grid_steps=steps, replications=reps, seed=seed + offset,
+                kind, grid_steps=steps, replications=reps, seed=kind_seed,
                 workers=workers,
             )
             if path is not None:
@@ -67,11 +67,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        nulls = load_or_simulate_nulls(
+            args.null_cache, 1000, args.null_reps, args.seed + 7000, args.workers
+        )
+    except ValueError as exc:  # a seed, draw count or cache file the run cannot use
+        parser.error(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    nulls = load_or_simulate_nulls(
-        args.null_cache, 1000, args.null_reps, args.seed + 7000, args.workers
-    )
     metadata = (
         f"reproduce_tables seed={args.seed} replications={args.reps} alpha=0.05 "
         f"block=auto(n^0.375) null_reps={args.null_reps}"

@@ -17,7 +17,6 @@ from sncusum.blocks import (
     PartialSumGrid,
     make_block_config,
     partial_sum,
-    permutation,
     permute_index,
 )
 from sncusum.stats import (
@@ -34,7 +33,6 @@ from sncusum.nulldist import (
     FULL_RATIO,
     SIMPLE_RATIO,
     NullSample,
-    QuantileTable,
     kolmogorov_cdf,
     kolmogorov_quantile,
     load_sample,
@@ -74,7 +72,6 @@ __all__ = [
     "FULL_RATIO",
     "NullSample",
     "PartialSumGrid",
-    "QuantileTable",
     "Scenario",
     "ScenarioResult",
     "SIMPLE_RATIO",
@@ -94,7 +91,6 @@ __all__ = [
     "mean_value",
     "p_value",
     "partial_sum",
-    "permutation",
     "permute_index",
     "quantile",
     "run_grid",

@@ -1,7 +1,7 @@
 """Block-permuted bivariate partial-sum process.
 
 The sample of length ``n`` is split into ``n_blocks`` consecutive blocks of
-``block_length`` observations (plus a short remainder).  A fixed permutation
+``block_length`` observations (plus a short remainder).  A fixed reordering
 interleaves the blocks round-robin, so that the first argument ``t`` of the
 bivariate process controls how many elements of every block enter the sum,
 while the second argument ``s`` controls the usual sample proportion.
@@ -76,28 +76,17 @@ def permute_index(k: int, cfg: BlockConfig) -> int:
 
 
 @lru_cache(maxsize=128)
-def _permutation_cached(cfg: BlockConfig) -> np.ndarray:
-    b, ell = cfg.block_length, cfg.n_blocks
-    k = np.arange(1, cfg.n + 1)
-    perm = np.where(k <= ell * b, ((k - 1) % ell) * b + (k + ell - 1) // ell, k)
-    out = perm - 1
-    out.setflags(write=False)
-    return out
-
-
-def permutation(cfg: BlockConfig) -> np.ndarray:
-    """0-based sample positions in time order: ``permutation(cfg)[i] == permute_index(i+1) - 1``.
-
-    The returned array is cached and read-only.
-    """
-    return _permutation_cached(cfg)
-
-
-@lru_cache(maxsize=128)
 def _time_rank(cfg: BlockConfig) -> np.ndarray:
-    """1-based time rank of each sample position (the inverse of ``permutation``); read-only."""
-    rank = np.empty(cfg.n, dtype=np.int64)
-    rank[permutation(cfg)] = np.arange(1, cfg.n + 1)
+    """1-based time rank of each 0-based sample position (the inverse of
+    ``permute_index``); cached and read-only.
+
+    Position p inside the blocks is element p % b of block p // b, which the
+    round-robin visits at time (p % b) * n_blocks + p // b + 1; positions
+    beyond the blocks are fixed points.
+    """
+    b, ell = cfg.block_length, cfg.n_blocks
+    p = np.arange(cfg.n)
+    rank = np.where(p < ell * b, (p % b) * ell + p // b + 1, p + 1)
     rank.setflags(write=False)
     return rank
 
@@ -155,20 +144,17 @@ def knot_of(cfg: BlockConfig, t: float) -> int:
 class PartialSumGrid:
     """A validated series with its block geometry, read one knot row at a time.
 
-    ``row(k)`` is the process at t = k*n_blocks/n over the s-grid {j/n} and
-    ``ordinary[j]`` the plain partial-sum process at t=1.  Each row costs one
-    O(n) cumulative sum; no lattice of all knots is built.
+    ``row(k)`` is the process at t = k*n_blocks/n over the s-grid {j/n}.  Each
+    row costs one O(n) cumulative sum; no lattice of all knots is built.
     """
 
-    def __init__(self, cfg: BlockConfig, x: np.ndarray, ordinary: np.ndarray):
+    def __init__(self, cfg: BlockConfig, x: np.ndarray):
         self.cfg = cfg
         self.x = x
-        self.ordinary = ordinary
 
     @classmethod
     def compute(cls, x, cfg: BlockConfig) -> "PartialSumGrid":
-        x = as_series(x, cfg)
-        return cls(cfg, x, _row(x, cfg, cfg.n))
+        return cls(cfg, as_series(x, cfg))
 
     def row(self, k: int) -> np.ndarray:
         """Process at coarse knot ``k`` over the s-grid, length n+1."""

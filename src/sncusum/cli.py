@@ -10,6 +10,7 @@ statistic, 3 I/O or parse error.
 
 import argparse
 import json
+import math
 import os
 from pathlib import Path
 import sys
@@ -130,14 +131,9 @@ def cmd_test(args) -> int:
 
 
 def cmd_nulldist(args) -> int:
-    seeds = {kind: args.seed + offset
-             for offset, kind in enumerate((nulldist.SIMPLE_RATIO, nulldist.FULL_RATIO))}
-    for seed in seeds.values():  # before any cache is written
-        nulldist.check_seed(seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for kind, seed in seeds.items():
+    for kind, seed in nulldist.kind_seeds(args.seed).items():  # checks both seeds first
         sample = nulldist.simulate_null(
             kind,
             grid_steps=args.steps,
@@ -145,15 +141,16 @@ def cmd_nulldist(args) -> int:
             seed=seed,
             workers=args.workers,
         )
+        out.mkdir(parents=True, exist_ok=True)  # not before: a bad setting leaves no directory
         path = out / f"{kind}.snq"
         nulldist.save_sample(sample, path)
-        table = nulldist.QuantileTable.from_sample(sample)
         summary[kind] = {
             "path": str(path),
             "grid_steps": sample.grid_steps,
             "replications": sample.replications,
             "seed": sample.seed,
-            "quantiles": {str(k): v for k, v in table.quantiles.items()},
+            "quantiles": {str(level): nulldist.quantile(sample, level)
+                          for level in (0.9, 0.95, 0.99)},
         }
     print(json.dumps(summary))
     return EXIT_OK
@@ -287,6 +284,8 @@ def cmd_aggregate(args) -> int:
             value = float(value_text)
         except ValueError:
             raise _ParseError(f"{path}:{lineno}: not a number: {value_text!r}") from None
+        if not math.isfinite(value):
+            raise _ParseError(f"{path}:{lineno}: not a finite number: {value_text!r}")
         by_year.setdefault(year, []).append(value)
 
     if skipped:
@@ -300,7 +299,10 @@ def cmd_aggregate(args) -> int:
                 file=sys.stderr,
             )
             continue
-        lines.append(f"{year},{sum(values) / len(values):.6f}")
+        mean = sum(values) / len(values)
+        if not math.isfinite(mean):
+            raise _ParseError(f"{path}: the mean of year {year} overflows")
+        lines.append(f"{year},{mean:.6f}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
     return EXIT_OK
 

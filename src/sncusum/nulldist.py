@@ -40,10 +40,18 @@ class NullSample:
     seed: int
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a 64-bit unsigned integer."""
+def _check_seed(seed: int) -> None:
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def kind_seeds(base: int) -> dict[str, int]:
+    """Seed of each ratio kind: ``base`` for the simple ratio, ``base + 1`` for
+    the full ratio.  Raises ValueError unless both fit in 64 unsigned bits."""
+    seeds = {kind: base + offset for offset, kind in enumerate(_KINDS)}
+    for seed in seeds.values():
+        _check_seed(seed)
+    return seeds
 
 
 def plan_chunks(total: int, workers: int, min_chunk: int) -> list[int]:
@@ -108,7 +116,7 @@ def simulate_null(
         raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
     if replications < 1000:
         raise ValueError(f"replications must be >= 1000, got {replications}")
-    check_seed(seed)
+    _check_seed(seed)
 
     bounds = plan_chunks(replications, workers, min_chunk=1000)
     tasks = [(kind, grid_steps, seed, start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
@@ -153,27 +161,6 @@ def p_value(sample: NullSample, observed: float) -> float:
     """Add-one Monte-Carlo p-value: (1 + #draws >= observed) / (N + 1)."""
     count = sample.replications - np.searchsorted(sample.draws, observed, side="left")
     return float((1 + count) / (sample.replications + 1))
-
-
-@dataclass(frozen=True)
-class QuantileTable:
-    """Quantiles at standard levels, tagged with the sample's provenance."""
-
-    kind: str
-    grid_steps: int
-    replications: int
-    seed: int
-    quantiles: dict[float, float]
-
-    @classmethod
-    def from_sample(cls, sample: NullSample, levels=(0.90, 0.95, 0.99)) -> "QuantileTable":
-        return cls(
-            kind=sample.kind,
-            grid_steps=sample.grid_steps,
-            replications=sample.replications,
-            seed=sample.seed,
-            quantiles={lvl: quantile(sample, lvl) for lvl in levels},
-        )
 
 
 def kolmogorov_cdf(x: float) -> float:

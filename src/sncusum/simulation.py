@@ -11,7 +11,6 @@ from collections import Counter
 import csv
 from dataclasses import dataclass, field
 import math
-import time
 
 import numpy as np
 # At module top on purpose: forked pool workers inherit it instead of re-importing.
@@ -67,16 +66,14 @@ def sigma_value(fn_id: int, x):
     raise ValueError(f"sigma function id must be in 0..3, got {fn_id}")
 
 
-def gen_errors(model: str, n: int, seed, ar_literal: bool = False) -> np.ndarray:
+def gen_errors(model: str, n: int, seed) -> np.ndarray:
     """Generate n stationary errors from a seeded stream.
 
     * iid: standard Gaussian.
     * ma:  (2/sqrt(5)) * (eta_i + eta_{i-1}/2), exact unit variance.
     * ar:  first-order autoregression with coefficient 1/2 and innovation
       scale sqrt(3)/2, initialized from its exact stationary law (unit
-      variance, long-run variance 3).  With ``ar_literal=True`` the
-      coefficient moves inside the scale, eps_i = (sqrt(3)/2)(eta_i +
-      eps_{i-1}/2), giving stationary variance 12/13.
+      variance, long-run variance 3).
     """
     if model not in ERROR_MODELS:
         raise ValueError(f"error model must be one of {ERROR_MODELS}, got {model!r}")
@@ -87,11 +84,10 @@ def gen_errors(model: str, n: int, seed, ar_literal: bool = False) -> np.ndarray
         eta = rng.standard_normal(n + 1)
         return (2.0 / math.sqrt(5.0)) * (eta[1:] + 0.5 * eta[:-1])
     scale = math.sqrt(3.0) / 2.0
-    coeff = scale / 2.0 if ar_literal else 0.5
-    init_sd = math.sqrt(scale**2 / (1.0 - coeff**2))
+    init_sd = math.sqrt(scale**2 / (1.0 - 0.5**2))
     start = init_sd * rng.standard_normal()
     eta = rng.standard_normal(n)
-    out, _ = lfilter([scale], [1.0, -coeff], eta, zi=[coeff * start])
+    out, _ = lfilter([scale], [1.0, -0.5], eta, zi=[0.5 * start])
     return out
 
 
@@ -108,7 +104,6 @@ class Scenario:
     alpha: float = 0.05
     seed: int = 0
     block_length: int | None = None
-    ar_literal: bool = False
 
     def __post_init__(self):
         if not 0 <= self.mean_id <= 6:
@@ -130,14 +125,11 @@ class Scenario:
 @dataclass
 class ScenarioResult:
     """Empirical rejection rates of one scenario, with degenerate draws
-    counted separately (never as rejections).  ``wall_clock`` sums the run
-    times of the cell's replication chunks, each timed in the process that
-    ran it, so with several workers it can exceed the elapsed time."""
+    counted separately (never as rejections)."""
 
     scenario: Scenario
     rejections: dict[str, int]
     degenerate: dict[str, int]
-    wall_clock: float = 0.0
     rates: dict[str, float] = field(init=False)
 
     def __post_init__(self):
@@ -147,12 +139,7 @@ class ScenarioResult:
 
 def gen_series(scenario: Scenario, replication: int) -> np.ndarray:
     """Generate the series of one replication from its keyed stream."""
-    eps = gen_errors(
-        scenario.error_model,
-        scenario.n,
-        [scenario.seed, replication],
-        ar_literal=scenario.ar_literal,
-    )
+    eps = gen_errors(scenario.error_model, scenario.n, [scenario.seed, replication])
     grid = np.arange(1, scenario.n + 1) / scenario.n
     return (
         mean_value(scenario.mean_id, grid)
@@ -175,11 +162,7 @@ def _thresholds(scenario: Scenario, tests, nulls) -> dict[str, float]:
 
 
 def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, stop: int):
-    """Count rejections and degenerate draws over one replication range.
-
-    Returns both counts per test and the seconds the range took.
-    """
-    started = time.perf_counter()
+    """Count rejections and degenerate draws per test over one replication range."""
     cfg = make_block_config(scenario.n, scenario.block_length)
     splits = {name: preset(scenario.alpha) for name, (_, preset) in stats.RULES.items() if preset}
     rejections = dict.fromkeys(tests, 0)
@@ -201,7 +184,7 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
                 degenerate[name] += 1
                 continue
             rejections[name] += int(rejected)
-    return rejections, degenerate, time.perf_counter() - started
+    return rejections, degenerate
 
 
 def run_scenario(
@@ -241,20 +224,17 @@ def run_grid(
 
     rejections = [Counter() for _ in scenarios]
     degenerate = [Counter() for _ in scenarios]
-    seconds = [0.0] * len(scenarios)
     parts = map_chunks(_scenario_chunk, tasks, workers)
-    for index, (rej, deg, elapsed) in zip(owners, parts):
+    for index, (rej, deg) in zip(owners, parts):
         rejections[index].update(rej)
         degenerate[index].update(deg)
-        seconds[index] += elapsed
     return [
         ScenarioResult(
             scenario=sc,
             rejections={name: rej[name] for name in tests},
             degenerate={name: deg[name] for name in tests},
-            wall_clock=elapsed,
         )
-        for sc, rej, deg, elapsed in zip(scenarios, rejections, degenerate, seconds)
+        for sc, rej, deg in zip(scenarios, rejections, degenerate)
     ]
 
 

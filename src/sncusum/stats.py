@@ -101,14 +101,14 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
 
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
-    """Simple ratio statistic from the ordinary process and the knot margins."""
+    """Simple ratio statistic from the plain partial sums and the knot margins."""
     cfg = grid.cfg
     last = cfg.n_knots
     if last < 2:
         raise ConfigurationError(
             f"need at least 2 coarse steps, got {last} for n={cfg.n}"
         )
-    numerator = np.abs(grid.ordinary).max()
+    numerator = np.abs(np.cumsum(grid.x)).max() / cfg.n
     margins = grid.knot_margins()
     scaled = np.arange(last) / (last - 1)  # rescaled time at knots 1..last
     denominator = np.abs(margins[1:] - scaled * margins[last]).max()
@@ -220,7 +220,7 @@ def lrv_estimate(x, bandwidth: int | None = None) -> float:
     return float(np.mean(windows**2) / (2 * m))
 
 
-def cusum_lrv_test(x, alpha: float = 0.05, bandwidth: int | None = None) -> TestOutcome:
+def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     """Classical CUSUM test scaled by the estimated long-run variance."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
@@ -231,7 +231,7 @@ def cusum_lrv_test(x, alpha: float = 0.05, bandwidth: int | None = None) -> Test
     # The estimate squares window sums, which overflow for large data; an
     # exact power-of-two pre-scale keeps it finite and leaves sigma unchanged.
     exponent = int(np.frexp(np.abs(x).max())[1])
-    sigma2 = lrv_estimate(np.ldexp(x, -exponent), bandwidth)
+    sigma2 = lrv_estimate(np.ldexp(x, -exponent))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
     sigma = math.ldexp(math.sqrt(sigma2), exponent)

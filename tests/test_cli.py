@@ -225,6 +225,10 @@ def test_nulldist_reruns_byte_identical(capsys, cache_dir, tmp_path):
         assert (out / name).read_bytes() == (cache_dir / name).read_bytes()
     summary = json.loads(stdout)
     assert summary["simple-ratio"]["quantiles"]["0.95"] > 1.0
+    for kind in ("simple-ratio", "full-ratio"):
+        quantiles = summary[kind]["quantiles"]
+        assert list(quantiles) == ["0.9", "0.95", "0.99"]
+        assert list(quantiles.values()) == sorted(quantiles.values())
 
 
 def test_nulldist_seed_sensitivity(capsys, tmp_path):
@@ -242,15 +246,15 @@ def test_nulldist_seed_sensitivity(capsys, tmp_path):
 
 
 def test_nulldist_seed_overflow_writes_no_cache(capsys, tmp_path):
-    # the full-ratio sample takes seed + 1, which leaves the 64-bit range
+    # the full-ratio sample takes seed + 1, which leaves the 64-bit range;
+    # 50 grid steps are below the simulator's minimum of 100
     out = tmp_path / "null"
-    code, _, err = run_cli(
-        capsys,
-        ["nulldist", "--steps", "100", "--reps", "1000", "--seed", str(2**64 - 1),
-         "--out", str(out)],
-    )
-    assert code == 1 and "seed" in err
-    assert list(out.glob("*.snq")) == []
+    for flag, word in [(["--seed", str(2**64 - 1)], "seed"), (["--steps", "50"], "grid_steps")]:
+        code, _, err = run_cli(
+            capsys, ["nulldist", "--steps", "100", "--reps", "1000", *flag, "--out", str(out)]
+        )
+        assert code == 1 and word in err
+        assert not out.exists()
 
 
 # --- simulate subcommand --------------------------------------------------------------
@@ -417,3 +421,14 @@ def test_aggregate_bad_rows(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
     assert code == 3
     assert "two columns" in err
+
+    # a value that parses to inf, and a year whose mean overflows
+    src.write_text("date,value\n2001-07-01,1\n2001-07-02,1e400\n")
+    code, _, err = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
+    assert code == 3
+    assert ":3:" in err and "finite" in err
+    src.write_text("date,value\n2001-07-01,1e308\n2001-07-02,1e308\n")
+    code, _, err = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
+    assert code == 3
+    assert "2001" in err
+    assert not dst.exists()

@@ -14,7 +14,6 @@ from sncusum.nulldist import (
     FULL_RATIO,
     SIMPLE_RATIO,
     NullSample,
-    QuantileTable,
     critical_value,
     kolmogorov_cdf,
     kolmogorov_quantile,
@@ -185,14 +184,6 @@ def test_p_value_at_quantile(null_full_small):
 def test_p_value_non_increasing(null_full_small, a, b):
     lo, hi = min(a, b), max(a, b)
     assert p_value(null_full_small, lo) >= p_value(null_full_small, hi)
-
-
-def test_quantile_table(null_full_small):
-    table = QuantileTable.from_sample(null_full_small)
-    assert list(table.quantiles) == [0.90, 0.95, 0.99]
-    vals = list(table.quantiles.values())
-    assert vals == sorted(vals)
-    assert table.seed == null_full_small.seed
 
 
 # --- Kolmogorov distribution ----------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, knot_of, make_block_config, permutation
+from sncusum.blocks import PartialSumGrid, _time_rank, knot_of, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -163,6 +163,13 @@ def test_full_statistic_pinned_bits():
     assert stats.full_statistic(x, cfg, 1 / 3, 2 / 3).hex() == "0x1.58c1a0f91348fp+1"
 
 
+def test_simple_statistic_pinned_bits():
+    # exact bits: how the numerator's partial sums are formed must not change them
+    x = np.random.default_rng(2000).standard_normal(2000)
+    cfg = make_block_config(2000)
+    assert stats.simple_statistic(x, cfg).hex() == "0x1.b233e121da454p-1"
+
+
 def test_full_statistic_memory_is_linear():
     # a few length-n rows; a (n_knots+1) x n lattice at n=1e5 needs ~175 MB
     x = np.random.default_rng(1).standard_normal(100_000)
@@ -314,7 +321,7 @@ def test_decide_full_zero_statistic(null_full_small):
     cfg = make_block_config(n, 6)  # n_blocks=10, knots=6, k0=2
     x = np.random.default_rng(15).standard_normal(n) + 3.0
     k0 = 2
-    x[permutation(cfg)[: k0 * cfg.n_blocks]] = 0.0
+    x[_time_rank(cfg) <= k0 * cfg.n_blocks] = 0.0
     out = stats.decide_full(x, cfg, stats.TestParams.v2(0.05), null_full_small)
     assert out.statistic == 0.0
     assert not out.reject
