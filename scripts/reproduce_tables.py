@@ -29,7 +29,9 @@ def load_or_simulate_nulls(cache_dir, steps, reps, seed, workers):
     for kind, kind_seed in nulldist.kind_seeds(seed).items():
         path = Path(cache_dir) / f"{kind}.snq" if cache_dir else None
         if path is not None and path.exists():
-            nulls[kind] = nulldist.load_sample(path, kind=kind)
+            # a cache of another draw count, grid or seed is an error, not a fallback
+            nulls[kind] = nulldist.load_sample(path, kind=kind, grid_steps=steps,
+                                               replications=reps, seed=kind_seed)
             print(f"loaded {kind} quantiles from {path}", file=sys.stderr)
         else:
             print(f"simulating {kind} null ({reps} draws) ...", file=sys.stderr)
@@ -66,12 +68,40 @@ def main(argv=None) -> int:
                         help="full alternative grid (all sigma, c, error models)")
     args = parser.parse_args(argv)
 
-    sizes = [int(s) for s in args.sizes.split(",")]
     try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        parser.error(f"--sizes must be a comma list of integers, got {args.sizes!r}")
+    # The cells are built before any null is simulated; --out is created only
+    # once the grid has run.
+    null_cells, alternative_cells = [], []
+    try:
+        if args.mode in ("null", "both"):
+            null_cells = scenario_cells(
+                [0], range(4), [0.25, 0.5, 1.0], ["iid", "ma", "ar"], sizes,
+                replications=args.reps, seed=args.seed,
+            )
+        if args.mode in ("alternative", "both"):
+            if args.full:
+                sigma_ids, c_values, models = range(4), [0.25, 0.5, 1.0], ["iid", "ma", "ar"]
+            else:
+                sigma_ids, c_values, models = [0], [0.25, 1.0], ["iid"]
+            alternative_cells = scenario_cells(
+                range(1, 7), sigma_ids, c_values, models, sizes,
+                replications=args.reps, seed=args.seed,
+            )
         nulls = load_or_simulate_nulls(
             args.null_cache, 1000, args.null_reps, args.seed + 7000, args.workers
         )
-    except ValueError as exc:  # a seed, draw count or cache file the run cannot use
+    except ValueError as exc:  # a cell, seed, draw count or cache file the run cannot use
+        parser.error(str(exc))
+
+    print(f"running {len(null_cells)} null and {len(alternative_cells)} alternative cells ...",
+          file=sys.stderr)
+    try:
+        # One run_grid call, so one worker pool serves both grids.
+        results = run_grid(null_cells + alternative_cells, nulls=nulls, workers=args.workers)
+    except ValueError as exc:  # a worker count or level the run cannot use
         parser.error(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -79,27 +109,6 @@ def main(argv=None) -> int:
         f"reproduce_tables seed={args.seed} replications={args.reps} alpha=0.05 "
         f"block=auto(n^0.375) null_reps={args.null_reps}"
     )
-
-    null_cells, alternative_cells = [], []
-    if args.mode in ("null", "both"):
-        null_cells = scenario_cells(
-            [0], range(4), [0.25, 0.5, 1.0], ["iid", "ma", "ar"], sizes,
-            replications=args.reps, seed=args.seed,
-        )
-    if args.mode in ("alternative", "both"):
-        if args.full:
-            sigma_ids, c_values, models = range(4), [0.25, 0.5, 1.0], ["iid", "ma", "ar"]
-        else:
-            sigma_ids, c_values, models = [0], [0.25, 1.0], ["iid"]
-        alternative_cells = scenario_cells(
-            range(1, 7), sigma_ids, c_values, models, sizes,
-            replications=args.reps, seed=args.seed,
-        )
-
-    print(f"running {len(null_cells)} null and {len(alternative_cells)} alternative cells ...",
-          file=sys.stderr)
-    # One run_grid call, so one worker pool serves both grids.
-    results = run_grid(null_cells + alternative_cells, nulls=nulls, workers=args.workers)
     if null_cells:
         emit(results[:len(null_cells)], out_dir, "null", metadata,
              by=("errors", "sigma", "c_sigma"))

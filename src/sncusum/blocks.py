@@ -28,15 +28,17 @@ class BlockConfig:
 
     n: int
     block_length: int
-    n_blocks: int
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"need n >= 4, got {self.n}")
         if not 1 <= self.block_length <= self.n:
             raise ValueError(f"block_length {self.block_length} not in [1, {self.n}]")
-        if self.n_blocks != self.n // self.block_length:
-            raise ValueError("n_blocks must equal n // block_length")
+
+    @property
+    def n_blocks(self) -> int:
+        """Number of full blocks: n // block_length."""
+        return self.n // self.block_length
 
     @property
     def n_knots(self) -> int:
@@ -51,13 +53,10 @@ def make_block_config(n: int, block_length: int | None = None) -> BlockConfig:
     The default is clamped below at 2, which keeps at least two coarse time
     knots for every n >= 4.  An explicit ``block_length`` overrides the rule.
     """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
     if block_length is None:
-        block_length = max(2, int(n**0.375 + _GRID_EPS))
-    elif not 1 <= block_length <= n:
-        raise ValueError(f"block_length {block_length} not in [1, {n}]")
-    return BlockConfig(n=n, block_length=block_length, n_blocks=n // block_length)
+        # max(n, 0): a negative n must reach the n >= 4 check, not a complex power
+        block_length = max(2, int(max(n, 0) ** 0.375 + _GRID_EPS))
+    return BlockConfig(n=n, block_length=block_length)
 
 
 def permute_index(k: int, cfg: BlockConfig) -> int:

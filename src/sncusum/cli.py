@@ -156,55 +156,13 @@ def cmd_nulldist(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid_spec(spec: str) -> dict:
-    """Grid DSL: semicolon-separated key=v1,v2 pairs.
-
-    Keys: mu (0..6), sigma (0..3), c (positive floats), eps (iid/ma/ar),
-    n (sizes).  Omitted keys default to mu=0;sigma=0;c=1;eps=iid;n=500.
-    """
-    settings = {
-        "mu": [0],
-        "sigma": [0],
-        "c": [1.0],
-        "eps": ["iid"],
-        "n": [500],
-    }
-    parsers = {
-        "mu": int,
-        "sigma": int,
-        "c": float,
-        "eps": str,
-        "n": int,
-    }
-    if spec:
-        for part in spec.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(f"bad grid entry {part!r}; expected key=v1,v2,...")
-            key, _, values = part.partition("=")
-            key = key.strip()
-            if key not in settings:
-                raise ValueError(f"unknown grid key {key!r}; expected one of {sorted(settings)}")
-            try:
-                settings[key] = [parsers[key](v.strip()) for v in values.split(",")]
-            except ValueError:
-                raise ValueError(f"bad grid value(s) {values!r} for key {key!r}") from None
-    return settings
-
-
 def cmd_simulate(args) -> int:
     from sncusum import simulation
 
-    settings = _parse_grid_spec(args.grid)
+    grid = simulation.parse_grid(args.grid)
     tests = tuple(t.strip() for t in args.tests.split(",")) if args.tests else simulation.ALL_TESTS
     scenarios = simulation.scenario_cells(
-        settings["mu"],
-        settings["sigma"],
-        settings["c"],
-        settings["eps"],
-        settings["n"],
+        *grid.values(),
         replications=args.reps,
         alpha=args.alpha,
         seed=args.seed,
@@ -229,13 +187,11 @@ def cmd_simulate(args) -> int:
     simulation.write_cells_csv(results, cells_path, metadata)
     written.append(str(cells_path))
 
-    for key in ("errors", "sigma", "c_sigma", "mean"):
-        field = {"errors": "eps", "sigma": "sigma", "c_sigma": "c", "mean": "mu"}[key]
-        if len(settings[field]) > 1:
-            rows = simulation.aggregate_rates(results, group_keys=("n", key))
-            agg_path = out / f"aggregate_{key}.csv"
-            simulation.write_aggregate_csv(rows, ("n", key), agg_path, metadata)
-            written.append(str(agg_path))
+    for key in simulation.aggregate_columns(grid):
+        rows = simulation.aggregate_rates(results, group_keys=("n", key))
+        agg_path = out / f"aggregate_{key}.csv"
+        simulation.write_aggregate_csv(rows, ("n", key), agg_path, metadata)
+        written.append(str(agg_path))
     print(json.dumps({"written": written}))
     return EXIT_OK
 
@@ -346,7 +302,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument(
         "--tests",
         default="",
-        help="comma list from r_lrv,sn_simple,sn_full_v1,sn_full_v2 (default all)",
+        help=f"comma list from {','.join(stats.ALL_TESTS)} (default all)",
     )
     p_sim.add_argument("--block-size", type=int, default=None, help="override the block length")
     p_sim.add_argument("--null-cache", default=None, help="directory with .snq quantile caches")

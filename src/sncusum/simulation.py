@@ -10,6 +10,7 @@ count or scheduling.
 from collections import Counter
 import csv
 from dataclasses import dataclass, field
+import itertools
 import math
 
 import numpy as np
@@ -24,8 +25,70 @@ from sncusum.nulldist import NullSample, map_chunks, plan_chunks
 ERROR_MODELS = ("iid", "ma", "ar")
 ALL_TESTS = stats.ALL_TESTS
 
-MEAN_LABELS = tuple(f"mu{i}" for i in range(7))
-SIGMA_LABELS = tuple(f"sigma{i}" for i in range(4))
+
+@dataclass(frozen=True)
+class Axis:
+    """One scenario axis: its ``--grid`` key, ``Scenario`` field, value parser,
+    default, the prefix of its table label, and its position among the
+    aggregate tables of ``simulate`` (None: the axis leads every aggregate)."""
+
+    key: str
+    field: str
+    parse: type
+    default: object
+    prefix: str = ""
+    aggregate: int | None = None
+
+    def label(self, value):
+        return f"{self.prefix}{value}" if self.prefix else value
+
+
+# The scenario grid, keyed by table column.  Its order is the column order of
+# the tables, the argument order of `scenario_cells` and the nesting of its
+# cells (the last axis varies fastest).
+AXES = {
+    "mean": Axis("mu", "mean_id", int, 0, prefix="mu", aggregate=3),
+    "sigma": Axis("sigma", "sigma_id", int, 0, prefix="sigma", aggregate=1),
+    "c_sigma": Axis("c", "c_sigma", float, 1.0, aggregate=2),
+    "errors": Axis("eps", "error_model", str, "iid", aggregate=0),
+    "n": Axis("n", "n", int, 500),
+}
+
+
+def parse_grid(spec: str) -> dict[str, list]:
+    """Grid DSL: semicolon-separated key=v1,v2 pairs, e.g.
+    "mu=0,3;sigma=0,2;c=1;eps=iid,ar;n=100,500".
+
+    Returns the values of every axis keyed by table column, in ``AXES`` order;
+    an omitted key keeps the axis default.
+    """
+    by_key = {axis.key: column for column, axis in AXES.items()}
+    grid = {column: [axis.default] for column, axis in AXES.items()}
+    for part in spec.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError(f"bad grid entry {part!r}; expected key=v1,v2,...")
+        key, _, values = part.partition("=")
+        key = key.strip()
+        if key not in by_key:
+            raise ValueError(f"unknown grid key {key!r}; expected one of {sorted(by_key)}")
+        column = by_key[key]
+        try:
+            grid[column] = [AXES[column].parse(v.strip()) for v in values.split(",")]
+        except ValueError:
+            raise ValueError(f"bad grid value(s) {values!r} for key {key!r}") from None
+        if len(set(grid[column])) < len(grid[column]):  # a repeat would rerun the same streams
+            raise ValueError(f"repeated grid value(s) {values!r} for key {key!r}")
+    return grid
+
+
+def aggregate_columns(grid: dict[str, list]) -> list[str]:
+    """The axes of a parsed grid that get an aggregate table (those with more
+    than one value), in aggregate order."""
+    varying = [c for c, axis in AXES.items() if axis.aggregate is not None and len(grid[c]) > 1]
+    return sorted(varying, key=lambda c: AXES[c].aggregate)
 
 
 def mean_value(fn_id: int, x):
@@ -110,10 +173,11 @@ class Scenario:
             raise ValueError(f"mean_id must be in 0..6, got {self.mean_id}")
         if not 0 <= self.sigma_id <= 3:
             raise ValueError(f"sigma_id must be in 0..3, got {self.sigma_id}")
-        if self.c_sigma <= 0:
-            raise ValueError(f"c_sigma must be positive, got {self.c_sigma}")
+        if not 0 < self.c_sigma < math.inf:
+            raise ValueError(f"c_sigma must be positive and finite, got {self.c_sigma}")
         if self.error_model not in ERROR_MODELS:
             raise ValueError(f"unknown error model {self.error_model!r}")
+        make_block_config(self.n, self.block_length)  # n >= 4, block length in [1, n]
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
@@ -214,6 +278,9 @@ def run_grid(
     unknown = set(tests) - set(ALL_TESTS)
     if unknown:
         raise ConfigurationError(f"unknown test identifier(s): {sorted(unknown)}")
+    repeated = sorted(name for name, count in Counter(tests).items() if count > 1)
+    if repeated:
+        raise ConfigurationError(f"repeated test identifier(s): {repeated}")
     tasks, owners = [], []
     for index, scenario in enumerate(scenarios):
         thresholds = _thresholds(scenario, tests, nulls or {})
@@ -238,20 +305,12 @@ def run_grid(
     ]
 
 
-_GROUP_FIELDS = {
-    "mean": lambda sc: MEAN_LABELS[sc.mean_id],
-    "sigma": lambda sc: SIGMA_LABELS[sc.sigma_id],
-    "c_sigma": lambda sc: sc.c_sigma,
-    "errors": lambda sc: sc.error_model,
-    "n": lambda sc: sc.n,
-}
-
-
 def _rate_row(group_keys, members) -> dict:
     """Replication-weighted rates of ``members``, labelled by the group keys
     of the first one."""
     total = sum(r.scenario.replications for r in members)
-    row = {k: _GROUP_FIELDS[k](members[0].scenario) for k in group_keys}
+    sc = members[0].scenario
+    row = {k: AXES[k].label(getattr(sc, AXES[k].field)) for k in group_keys}
     row["replications"] = total
     for name in members[0].rejections:
         row[name] = sum(r.rejections[name] for r in members) / total
@@ -260,19 +319,16 @@ def _rate_row(group_keys, members) -> dict:
 
 
 def aggregate_rates(results, group_keys=("n",)) -> list[dict]:
-    """Replication-weighted mean rejection rates, grouped by scenario fields.
-
-    ``group_keys`` may contain "mean", "sigma", "c_sigma", "errors", "n".
-    """
+    """Replication-weighted mean rejection rates, grouped by scenario axes
+    (columns of ``AXES``); rows ascend by the axis values in key order."""
     for key in group_keys:
-        if key not in _GROUP_FIELDS:
+        if key not in AXES:
             raise ValueError(f"unknown group key {key!r}")
     groups: dict[tuple, list[ScenarioResult]] = {}
     for res in results:
-        key = tuple(_GROUP_FIELDS[k](res.scenario) for k in group_keys)
+        key = tuple(getattr(res.scenario, AXES[k].field) for k in group_keys)
         groups.setdefault(key, []).append(res)
-    return [_rate_row(group_keys, groups[key])
-            for key in sorted(groups, key=lambda k: tuple(map(str, k)))]
+    return [_rate_row(group_keys, groups[key]) for key in sorted(groups)]
 
 
 def _format_value(value) -> str:
@@ -288,7 +344,7 @@ def write_cells_csv(results, path, metadata: str = "") -> None:
     Output is byte-identical for a fixed seed regardless of worker count;
     a leading comment line carries the run metadata.
     """
-    keys = tuple(_GROUP_FIELDS)
+    keys = tuple(AXES)
     write_aggregate_csv([_rate_row(keys, [res]) for res in results], keys, path, metadata)
 
 
@@ -325,24 +381,11 @@ def scenario_cells(
     seed: int = 0,
     block_length: int | None = None,
 ) -> list[Scenario]:
-    """Cartesian product of model settings in deterministic order."""
-    cells = []
-    for mean_id in mean_ids:
-        for sigma_id in sigma_ids:
-            for c_sigma in c_sigmas:
-                for model in error_models:
-                    for n in sizes:
-                        cells.append(
-                            Scenario(
-                                mean_id=mean_id,
-                                sigma_id=sigma_id,
-                                c_sigma=c_sigma,
-                                error_model=model,
-                                n=n,
-                                replications=replications,
-                                alpha=alpha,
-                                seed=seed,
-                                block_length=block_length,
-                            )
-                        )
-    return cells
+    """Cartesian product of the axis values in ``AXES`` order (the last axis,
+    n, varies fastest)."""
+    fields = [axis.field for axis in AXES.values()]
+    return [
+        Scenario(**dict(zip(fields, values)), replications=replications, alpha=alpha,
+                 seed=seed, block_length=block_length)
+        for values in itertools.product(mean_ids, sigma_ids, c_sigmas, error_models, sizes)
+    ]

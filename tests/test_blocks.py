@@ -46,8 +46,19 @@ def test_block_config_errors():
         make_block_config(10, 11)
     with pytest.raises(ValueError):
         make_block_config(10, 0)
-    with pytest.raises(ValueError):
-        BlockConfig(n=10, block_length=3, n_blocks=2)
+    for n in (-5, 0):  # the default-length rule must not take a power of a negative n
+        with pytest.raises(ValueError, match=f"need n >= 4, got {n}"):
+            make_block_config(n)
+
+
+def test_block_config_derives_block_count():
+    cfg = BlockConfig(n=10, block_length=3)
+    assert cfg.n_blocks == 3 and cfg.n_knots == 3
+    assert cfg == make_block_config(10, 3)
+    with pytest.raises(ValueError, match=r"block_length 0 not in \[1, 10\]"):
+        BlockConfig(n=10, block_length=0)
+    with pytest.raises(ValueError, match="need n >= 4, got 3"):
+        BlockConfig(n=3, block_length=2)
 
 
 def test_permutation_interleaves_blocks():

@@ -304,6 +304,21 @@ def test_simulate_bad_grid_spec(capsys, cache_dir, tmp_path):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("flags, word", [
+    (["--grid", "c=nan"], "c_sigma"),
+    (["--grid", "c=1,inf"], "c_sigma"),
+    (["--tests", "sn_simple,sn_simple"], "repeated"),
+])
+def test_simulate_refuses_bad_cells_and_repeated_tests(capsys, cache_dir, tmp_path, flags, word):
+    out = tmp_path / "sim"
+    code, _, err = run_cli(
+        capsys,
+        ["simulate", "--reps", "5", "--out", str(out), "--null-cache", str(cache_dir)] + flags,
+    )
+    assert code == 1 and word in err
+    assert not out.exists()
+
+
 def test_workers_below_one_exit_one(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

@@ -133,12 +133,22 @@ def test_scenario_validation():
         {**good, "sigma_id": -1},
         {**good, "c_sigma": 0.0},
         {**good, "error_model": "garch"},
+        {**good, "n": 3},
+        {**good, "block_length": 101},
         {**good, "replications": 0},
         {**good, "alpha": 1.0},
         {**good, "seed": -3},
     ):
         with pytest.raises(ValueError):
             Scenario(**bad)
+
+
+def test_scenario_rejects_non_finite_c_sigma():
+    good = dict(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
+                n=100, replications=10)
+    for c_sigma in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="c_sigma"):
+            Scenario(**{**good, "c_sigma": c_sigma})
 
 
 # --- scenario runner ----------------------------------------------------------------
@@ -235,6 +245,9 @@ def test_run_grid_refuses_before_building_a_pool(monkeypatch, fake_pools, nulls)
     with pytest.raises(ConfigurationError):
         run_grid([good, good], tests=("r_lrv", "sn_simple"),
                  nulls={nulldist.FULL_RATIO: nulls[nulldist.FULL_RATIO]}, workers=2)
+    # a repeated id would count every replication twice (a rate of 1.8)
+    with pytest.raises(ConfigurationError, match=r"repeated .*\['sn_simple'\]"):
+        run_grid([good], tests=("sn_simple", "r_lrv", "sn_simple"), nulls=nulls, workers=2)
     assert fake_pools == []
 
 
@@ -308,6 +321,58 @@ def test_reproduce_tables_seed_overflow_is_a_usage_error(capsys, tmp_path):
     assert not cache.exists() and not out.exists()
 
 
+def _cached_nulls(cache, grid_steps, replications, seed):
+    cache.mkdir()
+    for kind, kind_seed in nulldist.kind_seeds(seed).items():
+        sample = nulldist.simulate_null(kind, grid_steps=grid_steps,
+                                        replications=replications, seed=kind_seed)
+        nulldist.save_sample(sample, cache / f"{kind}.snq")
+
+
+def test_reproduce_tables_refuses_a_cache_of_other_draws(capsys, tmp_path):
+    # the script's nulls for --seed 0 have 1000 steps and seeds 7000, 7001
+    cache, out = tmp_path / "cache", tmp_path / "tables"
+    _cached_nulls(cache, grid_steps=100, replications=1000, seed=7000)
+    argv = ["--null-cache", str(cache), "--null-reps", "5000", "--reps", "2",
+            "--sizes", "100", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        _reproduce_tables().main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "grid_steps=100, expected 1000" in err
+    assert not out.exists()
+
+
+def test_reproduce_tables_workers_below_one_with_a_cache_is_a_usage_error(capsys, tmp_path):
+    # with both nulls cached, no simulator sees --workers before the grid does
+    cache, out = tmp_path / "cache", tmp_path / "tables"
+    _cached_nulls(cache, grid_steps=1000, replications=1000, seed=7000)
+    argv = ["--null-cache", str(cache), "--null-reps", "1000", "--reps", "2",
+            "--sizes", "100", "--workers", "0", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        _reproduce_tables().main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "workers must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, word", [
+    (["--sizes", "100,abc"], "--sizes"),
+    (["--reps", "0"], "replications"),
+    (["--sizes", "100,2"], "need n >= 4, got 2"),
+])
+def test_reproduce_tables_bad_cells_are_usage_errors(capsys, tmp_path, flags, word):
+    out = tmp_path / "tables"
+    argv = ["--null-reps", "1000", "--out", str(out)] + flags
+    with pytest.raises(SystemExit) as exc:
+        _reproduce_tables().main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and word in err and "simulating" not in err
+    assert not out.exists()
+
+
 def test_run_scenario_refuses_bad_level_and_workers(nulls):
     sc = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                   n=100, replications=5, alpha=1e-4)
@@ -353,6 +418,44 @@ def test_aggregation_is_replication_weighted():
                                group_keys=("n", "errors"))
     assert [r["errors"] for r in by_model] == ["iid", "ma"]
     assert by_model[0]["r_lrv"] == pytest.approx(0.1)
+
+
+def test_aggregate_rows_ascend_by_axis_values():
+    # rows used to sort as strings: n 100, 1000, 200 and c 10, 2
+    results = [
+        simulation.ScenarioResult(
+            scenario=Scenario(mean_id=0, sigma_id=0, c_sigma=c, error_model="iid",
+                              n=n, replications=1),
+            rejections={"r_lrv": 0}, degenerate={"r_lrv": 0},
+        )
+        for n in (1000, 200, 100) for c in (10.0, 2.0)
+    ]
+    rows = aggregate_rates(results, group_keys=("n", "c_sigma"))
+    assert [(row["n"], row["c_sigma"]) for row in rows] == [
+        (100, 2.0), (100, 10.0), (200, 2.0), (200, 10.0), (1000, 2.0), (1000, 10.0)
+    ]
+
+
+def test_parse_grid_axes():
+    assert simulation.parse_grid("") == {
+        "mean": [0], "sigma": [0], "c_sigma": [1.0], "errors": ["iid"], "n": [500]
+    }
+    grid = simulation.parse_grid(" mu=0,3; eps=ar,iid ;n=2000,100;")
+    assert list(grid) == list(simulation.AXES)
+    assert grid["mean"] == [0, 3] and grid["errors"] == ["ar", "iid"]
+    assert grid["n"] == [2000, 100] and grid["c_sigma"] == [1.0]
+    assert simulation.aggregate_columns(grid) == ["errors", "mean"]
+    every = simulation.parse_grid("mu=1,2;sigma=0,1;c=1,2;eps=iid,ma")
+    assert simulation.aggregate_columns(every) == ["errors", "sigma", "c_sigma", "mean"]
+    for spec, message in [
+        ("mu", "bad grid entry 'mu'; expected key=v1,v2,..."),
+        ("nope=1", "unknown grid key 'nope'; expected one of ['c', 'eps', 'mu', 'n', 'sigma']"),
+        ("n=100,x", "bad grid value(s) '100,x' for key 'n'"),
+        ("c=1,1.0", "repeated grid value(s) '1,1.0' for key 'c'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            simulation.parse_grid(spec)
+        assert str(exc.value) == message
 
 
 def test_aggregate_unknown_key():
