@@ -17,6 +17,7 @@ import sys
 from sncusum import nulldist
 from sncusum.simulation import (
     aggregate_rates,
+    check_grid,
     run_grid,
     scenario_cells,
     write_aggregate_csv,
@@ -72,8 +73,8 @@ def main(argv=None) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         parser.error(f"--sizes must be a comma list of integers, got {args.sizes!r}")
-    # The cells are built before any null is simulated; --out is created only
-    # once the grid has run.
+    # The cells are built and checked against every rule before any null is
+    # simulated; --out is created only once the grid has run.
     null_cells, alternative_cells = [], []
     try:
         if args.mode in ("null", "both"):
@@ -90,10 +91,11 @@ def main(argv=None) -> int:
                 range(1, 7), sigma_ids, c_values, models, sizes,
                 replications=args.reps, seed=args.seed,
             )
+        check_grid(null_cells + alternative_cells)
         nulls = load_or_simulate_nulls(
             args.null_cache, 1000, args.null_reps, args.seed + 7000, args.workers
         )
-    except ValueError as exc:  # a cell, seed, draw count or cache file the run cannot use
+    except ValueError as exc:  # a cell, geometry, seed, draw count or cache the run cannot use
         parser.error(str(exc))
 
     print(f"running {len(null_cells)} null and {len(alternative_cells)} alternative cells ...",

@@ -17,12 +17,7 @@ import sys
 
 from sncusum import nulldist, stats
 from sncusum.blocks import as_series, make_block_config
-from sncusum.errors import (
-    CacheFormatError,
-    CacheProvenanceError,
-    ConfigurationError,
-    DegenerateStatisticError,
-)
+from sncusum.errors import CacheFormatError, ConfigurationError, DegenerateStatisticError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,55 +66,51 @@ def _load_null(cache_flag: str | None, kind: str) -> nulldist.NullSample:
     return nulldist.load_sample(path, kind=kind)
 
 
-def _read_series(path: str) -> list[float]:
-    """One numeric column, optional header line (auto-detected)."""
+def _data_lines(path, parse) -> list[tuple[int, str]]:
+    """(line number, stripped text) of the non-empty lines of ``path``, less a
+    header: a first line on which ``parse`` raises ValueError."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
-    values: list[float] = []
-    first_data_line = True
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
+    rows = [(lineno, text) for lineno, line in enumerate(raw.splitlines(), start=1)
+            if (text := line.strip())]
+    if rows:
         try:
-            values.append(float(text))
+            parse(rows[0][1])
         except ValueError:
-            if first_data_line:
-                first_data_line = False
-                continue  # header
-            raise _ParseError(f"{path}:{lineno}: not a number: {text!r}") from None
-        first_data_line = False
-    if not values:
-        raise _ParseError(f"{path}: no numeric rows found")
-    return values
+            del rows[0]
+    return rows
+
+
+def _finite(path, lineno: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise _ParseError(f"{path}:{lineno}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise _ParseError(f"{path}:{lineno}: not a finite number: {text!r}")
+    return value
 
 
 def cmd_test(args) -> int:
-    x = as_series(_read_series(args.input))
-    n = x.size
-    cfg = make_block_config(n, args.block_size)
+    values = [_finite(args.input, lineno, text)
+              for lineno, text in _data_lines(args.input, float)]
+    if not values:
+        raise _ParseError(f"{args.input}: no numeric rows found")
+    x = as_series(values)
+    cfg = make_block_config(x.size, args.block_size)
 
-    test_id = _METHODS[args.method]
-    if test_id == stats.METHOD_LRV:
+    rule = stats.RULES.get(_METHODS[args.method])
+    if rule is None:
         outcome = stats.cusum_lrv_test(x, args.alpha)
     else:
-        if n < 4 * cfg.n_blocks:
-            raise ConfigurationError(
-                f"series too short: n={n} < 4 * n_blocks={4 * cfg.n_blocks}; "
-                "use a longer series or a larger --block-size"
-            )
-        kind, preset = stats.RULES[test_id]
-        null = _load_null(args.null_cache, kind)
-        if preset is None:
-            outcome = stats.decide_simple(x, cfg, args.alpha, null)
-        else:
-            outcome = stats.decide_full(x, cfg, preset(args.alpha), null)
+        rule.check(cfg)  # before the null cache is read
+        outcome = rule.decide(x, cfg, args.alpha, _load_null(args.null_cache, rule.kind))
 
     result = {
         "method": outcome.method,
-        "n": n,
+        "n": cfg.n,
         "b_n": cfg.block_length,
         "statistic": outcome.statistic,
         "threshold": outcome.threshold,
@@ -168,10 +159,8 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         block_length=args.block_size,
     )
-    nulls = {}
-    for name, (kind, _) in stats.RULES.items():
-        if name in tests and kind not in nulls:
-            nulls[kind] = _load_null(args.null_cache, kind)
+    kinds = dict.fromkeys(rule.kind for rule in simulation.check_grid(scenarios, tests))
+    nulls = {kind: _load_null(args.null_cache, kind) for kind in kinds}
 
     results = simulation.run_grid(scenarios, tests=tests, nulls=nulls, workers=args.workers)
 
@@ -206,44 +195,24 @@ def cmd_validate(args) -> int:
 
 def cmd_aggregate(args) -> int:
     path = Path(args.input)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _ParseError(f"cannot read {path}: {exc}") from exc
-
     missing_markers = {"", "na", "nan", "null"}
     by_year: dict[int, list[float]] = {}
     missing_by_year: dict[int, int] = {}
-    skipped = 0
-    first_data_line = True
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.strip()
-        if not text:
-            continue
+    for lineno, text in _data_lines(path, lambda text: int(text[:4])):
         fields = [f.strip() for f in text.split(",")]
         if len(fields) != 2:
             raise _ParseError(f"{path}:{lineno}: expected two columns (date,value)")
         date_text, value_text = fields
         if len(date_text) < 4 or not date_text[:4].isdigit():
-            if first_data_line:
-                first_data_line = False
-                continue  # header
             raise _ParseError(f"{path}:{lineno}: bad date {date_text!r}")
-        first_data_line = False
         year = int(date_text[:4])
+        values = by_year.setdefault(year, [])
         if value_text.lower() in missing_markers:
-            skipped += 1
             missing_by_year[year] = missing_by_year.get(year, 0) + 1
-            by_year.setdefault(year, [])
-            continue
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise _ParseError(f"{path}:{lineno}: not a number: {value_text!r}") from None
-        if not math.isfinite(value):
-            raise _ParseError(f"{path}:{lineno}: not a finite number: {value_text!r}")
-        by_year.setdefault(year, []).append(value)
+        else:
+            values.append(_finite(path, lineno, value_text))
 
+    skipped = sum(missing_by_year.values())
     if skipped:
         print(f"skipped {skipped} row(s) with missing values", file=sys.stderr)
     lines = ["year,value"]
@@ -333,13 +302,10 @@ def main(argv=None) -> int:
     except DegenerateStatisticError as exc:
         print(f"sn-cusum: degenerate statistic: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (_ParseError, CacheFormatError) as exc:
+    except (_ParseError, CacheFormatError, OSError) as exc:
         print(f"sn-cusum: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
-        print(f"sn-cusum: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigurationError, CacheProvenanceError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError and CacheProvenanceError among them
         print(f"sn-cusum: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -36,8 +36,12 @@ class NullSample:
     kind: str
     draws: np.ndarray = field(repr=False)
     grid_steps: int
-    replications: int
     seed: int
+
+    @property
+    def replications(self) -> int:
+        """Number of draws."""
+        return len(self.draws)
 
 
 def _check_seed(seed: int) -> None:
@@ -122,13 +126,7 @@ def simulate_null(
     tasks = [(kind, grid_steps, seed, start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
     draws = np.concatenate(map_chunks(_simulate_chunk, tasks, workers))
     draws.sort()
-    return NullSample(
-        kind=kind,
-        draws=draws,
-        grid_steps=grid_steps,
-        replications=replications,
-        seed=int(seed),
-    )
+    return NullSample(kind=kind, draws=draws, grid_steps=grid_steps, seed=int(seed))
 
 
 def quantile(sample: NullSample, level: float) -> float:
@@ -266,10 +264,4 @@ def load_sample(
         )
     if not np.all(np.isfinite(draws) & (draws > 0)) or np.any(np.diff(draws) < 0):
         raise CacheFormatError(f"draws in {path} are not finite, positive and sorted ascending")
-    return NullSample(
-        kind=file_kind,
-        draws=draws,
-        grid_steps=file_m,
-        replications=file_n,
-        seed=file_seed,
-    )
+    return NullSample(kind=file_kind, draws=draws, grid_steps=file_m, seed=file_seed)

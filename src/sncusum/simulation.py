@@ -211,24 +211,9 @@ def gen_series(scenario: Scenario, replication: int) -> np.ndarray:
     )
 
 
-def _thresholds(scenario: Scenario, tests, nulls) -> dict[str, float]:
-    """Rejection threshold of every self-normalized test at the cell's level."""
-    thresholds = {}
-    for name in tests:
-        if name not in stats.RULES:
-            continue
-        kind, preset = stats.RULES[name]
-        if kind not in nulls:
-            raise ConfigurationError(f"missing null sample for {name}: {kind}")
-        factor = preset(scenario.alpha).threshold_factor if preset else 1.0
-        _, thresholds[name] = stats.rule_threshold(nulls[kind], kind, scenario.alpha, factor)
-    return thresholds
-
-
 def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, stop: int):
     """Count rejections and degenerate draws per test over one replication range."""
     cfg = make_block_config(scenario.n, scenario.block_length)
-    splits = {name: preset(scenario.alpha) for name, (_, preset) in stats.RULES.items() if preset}
     rejections = dict.fromkeys(tests, 0)
     degenerate = dict.fromkeys(tests, 0)
     for rep in range(start, stop):
@@ -236,19 +221,32 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
         grid = PartialSumGrid.compute(x, cfg)
         for name in tests:
             try:
-                if name == stats.METHOD_LRV:
-                    rejected = stats.cusum_lrv_test(x, scenario.alpha).reject
-                elif name in splits:
-                    params = splits[name]
-                    statistic = stats.full_statistic_from_grid(grid, params.t0, params.t1)
-                    rejected = statistic > thresholds[name]
+                if name in thresholds:
+                    rejected = stats.RULES[name].statistic(grid) > thresholds[name]
                 else:
-                    rejected = stats.simple_statistic_from_grid(grid) > thresholds[name]
+                    rejected = stats.cusum_lrv_test(x, scenario.alpha).reject
             except DegenerateStatisticError:
                 degenerate[name] += 1
                 continue
             rejections[name] += int(rejected)
     return rejections, degenerate
+
+
+def check_grid(scenarios, tests=ALL_TESTS) -> list[stats.Rule]:
+    """The rules of the self-normalized ``tests``; ConfigurationError unless every
+    test id is known and unrepeated and every rule admits every cell's geometry."""
+    unknown = set(tests) - set(ALL_TESTS)
+    if unknown:
+        raise ConfigurationError(f"unknown test identifier(s): {sorted(unknown)}")
+    repeated = sorted(name for name, count in Counter(tests).items() if count > 1)
+    if repeated:
+        raise ConfigurationError(f"repeated test identifier(s): {repeated}")
+    rules = [stats.RULES[name] for name in tests if name in stats.RULES]
+    for scenario in scenarios:
+        cfg = make_block_config(scenario.n, scenario.block_length)
+        for rule in rules:
+            rule.check(cfg)
+    return rules
 
 
 def run_scenario(
@@ -269,21 +267,21 @@ def run_grid(
 ) -> list[ScenarioResult]:
     """Run a list of scenarios through one worker pool.
 
-    The thresholds of every cell are looked up here, so a missing null sample
-    or an unresolvable level fails before any worker starts.  Each task is one
-    (cell, replication range) pair carrying the cell's thresholds.
+    The rules are checked against every cell and its thresholds looked up here,
+    so a geometry, null sample or level the run cannot use fails before any
+    worker starts.  Each task is one (cell, replication range) pair carrying
+    the cell's thresholds.
     """
     scenarios = list(scenarios)
     tests = tuple(tests)
-    unknown = set(tests) - set(ALL_TESTS)
-    if unknown:
-        raise ConfigurationError(f"unknown test identifier(s): {sorted(unknown)}")
-    repeated = sorted(name for name, count in Counter(tests).items() if count > 1)
-    if repeated:
-        raise ConfigurationError(f"repeated test identifier(s): {repeated}")
+    rules = check_grid(scenarios, tests)
+    missing = sorted({rule.kind for rule in rules} - set(nulls or ()))
+    if missing:
+        raise ConfigurationError(f"missing null sample(s): {missing}")
     tasks, owners = [], []
     for index, scenario in enumerate(scenarios):
-        thresholds = _thresholds(scenario, tests, nulls or {})
+        thresholds = {rule.test_id: rule.threshold(nulls[rule.kind], scenario.alpha)[1]
+                      for rule in rules}
         bounds = plan_chunks(scenario.replications, workers, min_chunk=1)
         for start, stop in zip(bounds[:-1], bounds[1:]):
             tasks.append((scenario, tests, thresholds, start, stop))

@@ -24,12 +24,70 @@ METHOD_FULL_V2 = "sn_full_v2"
 
 
 @dataclass(frozen=True)
+class Rule:
+    """A self-normalized test: its id, null kind and split points (full rules)."""
+
+    test_id: str
+    kind: str
+    splits: tuple[float, float] | None = None
+
+    @property
+    def factor(self) -> float:
+        """Scale of the pivotal quantile in the threshold; 1 for the simple rule."""
+        if self.splits is None:
+            return 1.0
+        t0, t1 = self.splits
+        return math.sqrt(t0 * (1.0 - t0) / ((1.0 - t1) * (t1 - t0)))
+
+    def check(self, cfg: BlockConfig) -> None:
+        """Raise ConfigurationError unless the block geometry is admissible:
+        n >= 4 * n_blocks and, for a full rule, split points on distinct knots."""
+        if cfg.n < 4 * cfg.n_blocks:
+            raise ConfigurationError(
+                f"series too short: n={cfg.n} < 4 * n_blocks={4 * cfg.n_blocks}; "
+                "use a longer series or a larger block length"
+            )
+        if self.splits is not None:
+            _knot_indices(cfg, *self.splits)
+
+    def threshold(self, null: NullSample, alpha: float) -> tuple[float, float]:
+        """The (1 - alpha) quantile of the null sample and ``factor`` times it."""
+        if null.kind != self.kind:
+            raise ConfigurationError(f"need a {self.kind} sample, got {null.kind}")
+        q = nulldist.critical_value(null, alpha)
+        return q, self.factor * q
+
+    def statistic(self, grid: PartialSumGrid) -> float:
+        """The rule's ratio statistic of a grid whose geometry ``check`` admits."""
+        if self.splits is None:
+            return simple_statistic_from_grid(grid)
+        return full_statistic_from_grid(grid, *self.splits)
+
+    def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
+        """Run the rule as ``decide_simple`` or ``decide_full`` does."""
+        if self.splits is None:
+            return decide_simple(x, cfg, alpha, null)
+        tag = self.test_id.removeprefix("sn_full_")
+        return decide_full(x, cfg, TestParams(alpha, *self.splits, tag), null)
+
+
+# The self-normalized tests, keyed by test id.
+RULES = {rule.test_id: rule for rule in (
+    Rule(METHOD_SIMPLE, nulldist.SIMPLE_RATIO),
+    Rule(METHOD_FULL_V1, nulldist.FULL_RATIO, (1.0 / 3.0, 2.0 / 3.0)),
+    Rule(METHOD_FULL_V2, nulldist.FULL_RATIO, (1.0 / 3.0, 1.0 / 2.0)),
+)}
+ALL_TESTS = (METHOD_LRV, *RULES)
+
+
+@dataclass(frozen=True)
 class TestParams:
-    """Level and split points of the full decision rule."""
+    """Level and split points of a full rule; a tag that names an entry of
+    ``RULES`` (``v2``: ``sn_full_v2``) must carry that entry's split points."""
 
     alpha: float = 0.05
-    t0: float = 1.0 / 3.0
-    t1: float = 1.0 / 2.0
+    t0: float = RULES[METHOD_FULL_V2].splits[0]
+    t1: float = RULES[METHOD_FULL_V2].splits[1]
     tag: str = "v2"
 
     def __post_init__(self):
@@ -37,31 +95,18 @@ class TestParams:
             raise ValueError(f"alpha={self.alpha} not in (0, 1)")
         if not 0.0 < self.t0 < self.t1 < 1.0:
             raise ValueError(f"need 0 < t0 < t1 < 1, got t0={self.t0}, t1={self.t1}")
+        known = RULES.get(f"sn_full_{self.tag}")
+        if known is not None and known.splits != (self.t0, self.t1):
+            raise ValueError(f"{known.test_id} has split points {known.splits}, "
+                             f"not {(self.t0, self.t1)}")
 
     @classmethod
     def v1(cls, alpha: float = 0.05) -> "TestParams":
-        return cls(alpha=alpha, t0=1.0 / 3.0, t1=2.0 / 3.0, tag="v1")
+        return cls(alpha, *RULES[METHOD_FULL_V1].splits, "v1")
 
     @classmethod
     def v2(cls, alpha: float = 0.05) -> "TestParams":
-        return cls(alpha=alpha, t0=1.0 / 3.0, t1=1.0 / 2.0, tag="v2")
-
-    @property
-    def threshold_factor(self) -> float:
-        """Scale applied to the pivotal quantile in the full decision rule."""
-        return math.sqrt(
-            self.t0 * (1.0 - self.t0) / ((1.0 - self.t1) * (self.t1 - self.t0))
-        )
-
-
-# Every self-normalized test: the null kind it reads and, for the full rules,
-# the ``TestParams`` preset (called with alpha) that fixes its split points.
-RULES = {
-    METHOD_SIMPLE: (nulldist.SIMPLE_RATIO, None),
-    METHOD_FULL_V1: (nulldist.FULL_RATIO, TestParams.v1),
-    METHOD_FULL_V2: (nulldist.FULL_RATIO, TestParams.v2),
-}
-ALL_TESTS = (METHOD_LRV, *RULES)
+        return cls(alpha, *RULES[METHOD_FULL_V2].splits, "v2")
 
 
 @dataclass(frozen=True)
@@ -100,8 +145,20 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
+def _exponent(x: np.ndarray) -> int:
+    """Binary exponent e of max|x|: ``ldexp(x, -e)`` lies in (-1, 1)."""
+    return math.frexp(max(x.max(), -x.min()))[1]
+
+
+def _unit_scaled(grid: PartialSumGrid) -> PartialSumGrid:
+    """The grid of the series times the exact power of two 2**-e, which both
+    ratios are invariant to: no sum of it overflows, and tiny data keep their bits."""
+    return PartialSumGrid(grid.cfg, np.ldexp(grid.x, -_exponent(grid.x)))
+
+
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
     """Simple ratio statistic from the plain partial sums and the knot margins."""
+    grid = _unit_scaled(grid)
     cfg = grid.cfg
     last = cfg.n_knots
     if last < 2:
@@ -120,6 +177,7 @@ def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
     k0, k1, last = _knot_indices(grid.cfg, t0, t1)
+    grid = _unit_scaled(grid)
     early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
     numerator = np.abs(numerator_values(early)).max()
     contrast = contrast_values(early, mid, late, (k1 - k0) / (last - k0))
@@ -158,45 +216,29 @@ def full_statistic(x, cfg: BlockConfig, t0: float, t1: float) -> float:
     return full_statistic_from_grid(PartialSumGrid.compute(x, cfg), t0, t1)
 
 
-def rule_threshold(null: NullSample, kind: str, alpha: float,
-                   factor: float = 1.0) -> tuple[float, float]:
-    """The (1 - alpha) quantile of a ``kind`` null sample and the rejection
-    threshold ``factor`` times it."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} not in (0, 1)")
-    if null.kind != kind:
-        raise ConfigurationError(f"need a {kind} sample, got {null.kind}")
-    q = nulldist.critical_value(null, alpha)
-    return q, factor * q
+def _decide(rule: Rule, x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOutcome:
+    q, threshold = rule.threshold(null, alpha)
+    rule.check(cfg)
+    statistic = rule.statistic(PartialSumGrid.compute(x, cfg))
+    return TestOutcome(
+        method=rule.test_id,
+        statistic=statistic,
+        threshold=threshold,
+        quantile=q,
+        p_value=nulldist.p_value(null, statistic / rule.factor),
+        reject=statistic > threshold,
+    )
 
 
 def decide_simple(x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOutcome:
     """Run the zero-mean test against a simulated simple-ratio null sample."""
-    q, threshold = rule_threshold(null, nulldist.SIMPLE_RATIO, alpha)
-    statistic = simple_statistic(x, cfg)
-    return TestOutcome(
-        method=METHOD_SIMPLE,
-        statistic=statistic,
-        threshold=threshold,
-        quantile=q,
-        p_value=nulldist.p_value(null, statistic),
-        reject=statistic > threshold,
-    )
+    return _decide(RULES[METHOD_SIMPLE], x, cfg, alpha, null)
 
 
 def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> TestOutcome:
     """Run the constant-mean test against a simulated full-ratio null sample."""
-    factor = params.threshold_factor
-    q, threshold = rule_threshold(null, nulldist.FULL_RATIO, params.alpha, factor)
-    statistic = full_statistic(x, cfg, params.t0, params.t1)
-    return TestOutcome(
-        method=f"sn_full_{params.tag}",
-        statistic=statistic,
-        threshold=threshold,
-        quantile=q,
-        p_value=nulldist.p_value(null, statistic / factor),
-        reject=statistic > threshold,
-    )
+    rule = Rule(f"sn_full_{params.tag}", nulldist.FULL_RATIO, (params.t0, params.t1))
+    return _decide(rule, x, cfg, params.alpha, null)
 
 
 def lrv_estimate(x, bandwidth: int | None = None) -> float:
@@ -230,7 +272,7 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     statistic = float(np.abs(csum - np.arange(1, n + 1) / n * csum[-1]).max() / math.sqrt(n))
     # The estimate squares window sums, which overflow for large data; an
     # exact power-of-two pre-scale keeps it finite and leaves sigma unchanged.
-    exponent = int(np.frexp(np.abs(x).max())[1])
+    exponent = _exponent(x)
     sigma2 = lrv_estimate(np.ldexp(x, -exponent))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")

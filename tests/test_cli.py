@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from sncusum import cli
-from sncusum.simulation import mean_value
+from sncusum import cli, nulldist, stats
+from sncusum.simulation import Scenario, mean_value, run_grid
 
 
 def write_series(path, values, header=None):
@@ -112,6 +112,22 @@ def test_cmd_test_lrv_finite_at_extreme_scale(capsys, tmp_path):
     assert results[1]["reject"] == results[0]["reject"] is True
 
 
+def test_cmd_test_sn_rules_finite_at_extreme_scale(capsys, cache_dir, tmp_path):
+    # 1e307-scale sums overflow unless the statistics pre-scale the data
+    x = np.random.default_rng(3).standard_normal(500)
+    for method in ("simple", "full-v1", "full-v2"):
+        results = []
+        for scale in (1.0, 1e307):
+            path = tmp_path / f"scaled{scale:g}.csv"
+            write_series(path, scale * x)
+            code, out, err = run_cli(capsys, ["test", "--input", str(path), "--method", method,
+                                              "--null-cache", str(cache_dir)])
+            assert code == 0, err
+            results.append(json.loads(out, parse_constant=lambda c: pytest.fail(f"emitted {c}")))
+        assert results[1]["statistic"] == pytest.approx(results[0]["statistic"], rel=1e-12)
+        assert results[1]["p_value"] == results[0]["p_value"]
+
+
 def test_cmd_test_refuses_unresolvable_alpha(capsys, cache_dir, gauss_csv):
     # 2000 draws resolve p-values down to 1/2001 only
     for method in ("simple", "full-v2"):
@@ -169,6 +185,16 @@ def test_cmd_test_parse_error_reports_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv"])
     assert code == 3
     assert ":4:" in err and "oops" in err
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
+def test_cmd_test_non_finite_value_is_a_parse_error(capsys, tmp_path, text):
+    # the same reader as aggregate: exit 3 and the line of the value
+    path = tmp_path / "bad.csv"
+    path.write_text(f"value\n1.0\n{text}\n" + "2.0\n" * 10)
+    code, _, err = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv"])
+    assert code == 3
+    assert ":3:" in err and "finite" in err
 
 
 def test_cmd_test_missing_file(capsys, tmp_path):
@@ -308,6 +334,7 @@ def test_simulate_bad_grid_spec(capsys, cache_dir, tmp_path):
     (["--grid", "c=nan"], "c_sigma"),
     (["--grid", "c=1,inf"], "c_sigma"),
     (["--tests", "sn_simple,sn_simple"], "repeated"),
+    (["--tests", "sn_simple", "--grid", "n=20"], "series too short: n=20 < 4 * n_blocks=24;"),
 ])
 def test_simulate_refuses_bad_cells_and_repeated_tests(capsys, cache_dir, tmp_path, flags, word):
     out = tmp_path / "sim"
@@ -317,6 +344,35 @@ def test_simulate_refuses_bad_cells_and_repeated_tests(capsys, cache_dir, tmp_pa
     )
     assert code == 1 and word in err
     assert not out.exists()
+
+
+def test_test_and_simulate_share_one_admissibility_rule(capsys, cache_dir, tmp_path):
+    # `test` accepts a geometry exactly when run_grid accepts the cell, and
+    # both refuse it with the same message
+    nulls = {kind: nulldist.load_sample(cache_dir / f"{kind}.snq")
+             for kind in (nulldist.SIMPLE_RATIO, nulldist.FULL_RATIO)}
+    path = tmp_path / "x.csv"
+    outcomes = set()
+    for n in range(4, 81):
+        write_series(path, np.random.default_rng(n).standard_normal(n))
+        for block in (None, 2, 3):
+            flags = [] if block is None else ["--block-size", str(block)]
+            cell = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid", n=n,
+                            replications=1, block_length=block)
+            for method, test_id in cli._METHODS.items():
+                if test_id not in stats.RULES:
+                    continue
+                code, _, err = run_cli(capsys, ["test", "--input", str(path), "--method", method,
+                                                "--null-cache", str(cache_dir)] + flags)
+                try:
+                    run_grid([cell], tests=(test_id,), nulls=nulls)
+                except ValueError as exc:
+                    assert (code, err) == (1, f"sn-cusum: {exc}\n"), (n, block, method)
+                    outcomes.add("refused")
+                else:
+                    assert code == 0, (n, block, method, err)
+                    outcomes.add("accepted")
+    assert outcomes == {"accepted", "refused"}
 
 
 def test_workers_below_one_exit_one(capsys, tmp_path):

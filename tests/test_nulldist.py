@@ -28,10 +28,8 @@ from sncusum.nulldist import (
 
 
 def small_sample(draws, kind=FULL_RATIO, grid_steps=100, seed=0):
-    draws = np.asarray(draws, dtype=float)
-    return NullSample(
-        kind=kind, draws=draws, grid_steps=grid_steps, replications=draws.size, seed=seed
-    )
+    return NullSample(kind=kind, draws=np.asarray(draws, dtype=float),
+                      grid_steps=grid_steps, seed=seed)
 
 
 # --- simulation ---------------------------------------------------------------
@@ -55,6 +53,15 @@ def test_draws_positive_finite_sorted(null_full_small, null_simple_small):
         assert np.all(np.isfinite(sample.draws))
         assert sample.draws.min() > 0
         assert np.all(np.diff(sample.draws) >= 0)
+
+
+def test_replications_are_the_number_of_draws():
+    sample = NullSample(FULL_RATIO, draws=[1.0, 2.0, 3.0], grid_steps=100, seed=0)
+    assert sample.replications == 3
+    assert p_value(sample, 2.5) == 2 / 4
+    assert critical_value(sample, 0.5) == 2.0
+    with pytest.raises(TypeError):
+        NullSample(FULL_RATIO, draws=[1.0, 2.0, 3.0], grid_steps=100, replications=1000, seed=0)
 
 
 def test_simulation_deterministic_across_workers():

@@ -251,6 +251,16 @@ def test_run_grid_refuses_before_building_a_pool(monkeypatch, fake_pools, nulls)
     assert fake_pools == []
 
 
+def test_run_grid_checks_every_cell_before_building_a_pool(monkeypatch, fake_pools, nulls):
+    # n=20 has 6 blocks of 3, too many for 20 points (its v2 split points
+    # share a knot as well); the n=500 cell must not run first
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cells = scenario_cells([0], [0], [1.0], ["iid"], [500, 20], replications=4)
+    with pytest.raises(ConfigurationError, match=r"n=20 < 4 \* n_blocks=24"):
+        run_grid(cells, tests=("sn_full_v2",), nulls=nulls, workers=2)
+    assert fake_pools == []
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.05])
 def test_simulate_applies_the_rules_test_applies(monkeypatch, fake_pools, nulls, alpha):
     # a cell where every test rejects some replications and accepts others
@@ -370,6 +380,19 @@ def test_reproduce_tables_bad_cells_are_usage_errors(capsys, tmp_path, flags, wo
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and word in err and "simulating" not in err
+    assert not out.exists()
+
+
+def test_reproduce_tables_checks_the_geometry_before_any_null(capsys, tmp_path):
+    cache, out = tmp_path / "cache", tmp_path / "tables"
+    argv = ["--mode", "null", "--sizes", "20", "--null-reps", "1000",
+            "--null-cache", str(cache), "--reps", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        _reproduce_tables().main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "series too short: n=20" in err and "simulating" not in err
+    assert list(tmp_path.rglob("*.snq")) == []
     assert not out.exists()
 
 

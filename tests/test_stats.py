@@ -170,6 +170,19 @@ def test_simple_statistic_pinned_bits():
     assert stats.simple_statistic(x, cfg).hex() == "0x1.b233e121da454p-1"
 
 
+@pytest.mark.parametrize("power", [1020, -1030, -1060])
+def test_sn_statistics_exact_at_any_finite_scale(power):
+    # the same bits as the series scaled back by the inverse power of two; at
+    # 2**1020 the sums overflow and at 2**-1060 the data are subnormal
+    x = np.ldexp(np.random.default_rng(2000).standard_normal(500), power)
+    back = np.ldexp(x, -power)
+    cfg = make_block_config(500)
+    for t0, t1 in ((1 / 3, 1 / 2), (1 / 3, 2 / 3)):
+        statistic = stats.full_statistic(x, cfg, t0, t1)
+        assert statistic.hex() == stats.full_statistic(back, cfg, t0, t1).hex()
+    assert stats.simple_statistic(x, cfg).hex() == stats.simple_statistic(back, cfg).hex()
+
+
 def test_full_statistic_memory_is_linear():
     # a few length-n rows; a (n_knots+1) x n lattice at n=1e5 needs ~175 MB
     x = np.random.default_rng(1).standard_normal(100_000)
@@ -254,8 +267,9 @@ def test_full_statistic_consistency_grows_with_n():
 # --- decisions ---------------------------------------------------------------
 
 def test_params_threshold_factors():
-    assert stats.TestParams.v1().threshold_factor == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert stats.TestParams.v2().threshold_factor == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-12)
+    assert stats.RULES["sn_full_v1"].factor == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert stats.RULES["sn_full_v2"].factor == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-12)
+    assert stats.RULES["sn_simple"].factor == 1.0
 
 
 def test_params_validation():
@@ -263,6 +277,30 @@ def test_params_validation():
         stats.TestParams(alpha=0.0)
     with pytest.raises(ValueError):
         stats.TestParams(t0=0.5, t1=0.4)
+
+
+def test_params_tag_must_carry_its_table_split_points(null_full_small):
+    x = np.random.default_rng(12).standard_normal(200)
+    cfg = make_block_config(200)
+    with pytest.raises(ValueError, match=r"sn_full_v2.*\(0\.3333333333333333, 0\.5\).*"
+                                         r"\(0\.25, 0\.5\)"):
+        stats.decide_full(x, cfg, stats.TestParams(t0=0.25, t1=0.5), null_full_small)
+    with pytest.raises(ValueError, match="sn_full_v1"):
+        stats.TestParams(tag="v1")
+    out = stats.decide_full(x, cfg, stats.TestParams(t0=0.25, t1=0.5, tag="q"), null_full_small)
+    assert out.method == "sn_full_q"
+    assert out.statistic == stats.full_statistic(x, cfg, 0.25, 0.5)
+    assert stats.TestParams() == stats.TestParams.v2()
+
+
+def test_decide_refuses_the_geometry_test_refuses(null_simple_small, null_full_small):
+    # 6 blocks of 3 are too many for 20 points, in the library as in the CLI
+    x = np.random.default_rng(12).standard_normal(20)
+    cfg = make_block_config(20)
+    with pytest.raises(ConfigurationError, match=r"n=20 < 4 \* n_blocks=24"):
+        stats.decide_simple(x, cfg, 0.05, null_simple_small)
+    with pytest.raises(ConfigurationError, match=r"n=20 < 4 \* n_blocks=24"):
+        stats.decide_full(x, cfg, stats.TestParams.v1(), null_full_small)
 
 
 def test_decide_simple(null_simple_small):
