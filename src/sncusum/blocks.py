@@ -113,14 +113,15 @@ def _check_unit(name: str, value: float) -> None:
 
 
 def _row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
-    """Process over the s-grid from the observations of time rank <= ``m``.
+    """Process over the s-grid from the observations of time rank <= ``m``,
+    along the last axis of ``x`` (one series or a stack of them).
 
-    Returns an array ``row`` of length n+1 with ``row[j]`` the process value
-    at s = j/n.
+    Returns an array ``row`` whose last axis has length n+1, with
+    ``row[..., j]`` the process value at s = j/n.
     """
-    row = np.empty(cfg.n + 1)
-    row[0] = 0.0
-    np.cumsum(np.where(_time_rank(cfg) <= m, x, 0.0), out=row[1:])
+    row = np.empty(x.shape[:-1] + (cfg.n + 1,))
+    row[..., 0] = 0.0
+    np.cumsum(np.where(_time_rank(cfg) <= m, x, 0.0), axis=-1, out=row[..., 1:])
     row /= cfg.n
     return row
 
@@ -143,8 +144,11 @@ def knot_of(cfg: BlockConfig, t: float) -> int:
 class PartialSumGrid:
     """A validated series with its block geometry, read one knot row at a time.
 
-    ``row(k)`` is the process at t = k*n_blocks/n over the s-grid {j/n}.  Each
-    row costs one O(n) cumulative sum; no lattice of all knots is built.
+    ``x`` is one series, or a stack of series along its leading axes whose
+    rows are each read as that series alone; every method works along the
+    last axis.  ``row(k)`` is the process at t = k*n_blocks/n over the s-grid
+    {j/n}.  Each row costs one O(n) cumulative sum; no lattice of all knots
+    is built.
     """
 
     def __init__(self, cfg: BlockConfig, x: np.ndarray):
@@ -162,6 +166,13 @@ class PartialSumGrid:
     def knot_margins(self) -> np.ndarray:
         """Coarsened process at s=1 for every knot (the time marginal)."""
         cfg = self.cfg
-        # the first knot whose row includes each position
+        # the first knot whose row includes each position; the last position
+        # of time rank n falls in bin ceil(n / n_blocks)
         step = (_time_rank(cfg) + cfg.n_blocks - 1) // cfg.n_blocks
-        return np.cumsum(np.bincount(step, weights=self.x))[: cfg.n_knots + 1] / cfg.n
+        bins = -(-cfg.n // cfg.n_blocks) + 1
+        rows = self.x.reshape(-1, cfg.n)
+        # one bincount over all rows: row r owns bins r*bins .. r*bins + bins-1
+        index = step + bins * np.arange(len(rows))[:, None]
+        sums = np.bincount(index.ravel(), weights=rows.ravel())
+        sums = sums.reshape(self.x.shape[:-1] + (bins,))
+        return np.cumsum(sums, axis=-1)[..., : cfg.n_knots + 1] / cfg.n

@@ -15,6 +15,8 @@ import os
 from pathlib import Path
 import sys
 
+import numpy as np
+
 from sncusum import nulldist, stats
 from sncusum.blocks import as_series, make_block_config
 from sncusum.errors import CacheFormatError, ConfigurationError, DegenerateStatisticError
@@ -66,14 +68,17 @@ def _load_null(cache_flag: str | None, kind: str) -> nulldist.NullSample:
     return nulldist.load_sample(path, kind=kind)
 
 
-def _data_lines(path, parse) -> list[tuple[int, str]]:
-    """(line number, stripped text) of the non-empty lines of ``path``, less a
-    header: a first line on which ``parse`` raises ValueError."""
+def _lines(path) -> list[str]:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
-    rows = [(lineno, text) for lineno, line in enumerate(raw.splitlines(), start=1)
+
+
+def _data_lines(lines: list[str], parse) -> list[tuple[int, str]]:
+    """(line number, stripped text) of the non-empty ``lines``, less a header:
+    a first line on which ``parse`` raises ValueError."""
+    rows = [(lineno, text) for lineno, line in enumerate(lines, start=1)
             if (text := line.strip())]
     if rows:
         try:
@@ -93,12 +98,35 @@ def _finite(path, lineno: int, text: str) -> float:
     return value
 
 
+def _series(path) -> np.ndarray:
+    """The values of a one-column CSV, less a header (a first non-empty line
+    that is not a number), in one pass; a bad row is located afterwards, by
+    the line-numbered reader ``cmd_aggregate`` uses."""
+    lines = _lines(path)
+    values = []
+    header = bad = False
+    for line in lines:
+        try:
+            values.append(float(line))  # float() ignores surrounding whitespace
+        except ValueError:
+            if not line.strip():
+                continue
+            if values or header:
+                bad = True
+                break
+            header = True
+    x = np.array(values)
+    if bad or not np.isfinite(x).all():
+        for lineno, text in _data_lines(lines, float):
+            _finite(path, lineno, text)  # raises at the first bad row
+    return x
+
+
 def cmd_test(args) -> int:
-    values = [_finite(args.input, lineno, text)
-              for lineno, text in _data_lines(args.input, float)]
-    if not values:
+    x = _series(args.input)
+    if not x.size:
         raise _ParseError(f"{args.input}: no numeric rows found")
-    x = as_series(values)
+    x = as_series(x)
     cfg = make_block_config(x.size, args.block_size)
 
     rule = stats.RULES.get(_METHODS[args.method])
@@ -198,7 +226,7 @@ def cmd_aggregate(args) -> int:
     missing_markers = {"", "na", "nan", "null"}
     by_year: dict[int, list[float]] = {}
     missing_by_year: dict[int, int] = {}
-    for lineno, text in _data_lines(path, lambda text: int(text[:4])):
+    for lineno, text in _data_lines(_lines(path), lambda text: int(text[:4])):
         fields = [f.strip() for f in text.split(",")]
         if len(fields) != 2:
             raise _ParseError(f"{path}:{lineno}: expected two columns (date,value)")

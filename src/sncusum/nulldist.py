@@ -25,6 +25,10 @@ SIMPLE_RATIO = "simple-ratio"
 FULL_RATIO = "full-ratio"
 _KINDS = (SIMPLE_RATIO, FULL_RATIO)
 
+# Memory budget of one stacked block of Monte-Carlo replications, sized so
+# that a block and the temporaries of its statistics stay in a core's L2 cache.
+_BLOCK_BYTES = 2**18
+
 _CACHE_MAGIC = "snq"
 _CACHE_VERSION = "v1"
 
@@ -81,24 +85,37 @@ def map_chunks(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, *zip(*tasks)))
 
 
-def _ratio_draw(kind: str, rng: np.random.Generator, grid_steps: int) -> float:
-    z = rng.standard_normal((2, grid_steps))
-    paths = np.cumsum(z, axis=1)
-    paths /= math.sqrt(grid_steps)
-    numerator = np.abs(paths[0]).max()
-    if kind == SIMPLE_RATIO:
-        grid = np.arange(1, grid_steps + 1) / grid_steps
-        denominator = np.abs(paths[1] - grid * paths[1, -1]).max()
-    else:
-        denominator = np.abs(paths[1]).max()
-    return numerator / denominator
+def block_rows(row_bytes: int) -> int:
+    """Replications per stacked block: as many rows of ``row_bytes`` bytes as
+    fit a block of _BLOCK_BYTES, and at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def _simulate_chunk(kind: str, grid_steps: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Draws ``start`` .. ``stop`` - 1, a stacked block of replications at a time.
+
+    Each replication fills its own rows from its own (seed, replication) stream,
+    so the block height cannot change a draw.  The sups of the plain walks are
+    taken before the division by sqrt(m): the division is monotone, so the
+    result is the same.
+    """
     out = np.empty(stop - start)
-    for rep in range(start, stop):
-        rng = np.random.default_rng([seed, rep])
-        out[rep - start] = _ratio_draw(kind, rng, grid_steps)
+    root = math.sqrt(grid_steps)
+    chord = np.arange(1, grid_steps + 1) / grid_steps
+    block = np.empty((min(block_rows(16 * grid_steps), stop - start), 2, grid_steps))
+    for lo in range(start, stop, len(block)):
+        paths = block[: stop - lo]
+        for rep, rows in zip(range(lo, stop), paths):
+            np.random.default_rng([seed, rep]).standard_normal((2, grid_steps), out=rows)
+        np.cumsum(paths, axis=-1, out=paths)
+        motion, second = paths[:, 0], paths[:, 1]
+        numerator = np.maximum(motion.max(axis=-1), -motion.min(axis=-1)) / root
+        if kind == SIMPLE_RATIO:
+            second = second / root  # the bridge is not monotone in the walk: divide first
+            denominator = np.abs(second - chord * second[:, -1:]).max(axis=-1)
+        else:
+            denominator = np.maximum(second.max(axis=-1), -second.min(axis=-1)) / root
+        out[lo - start : lo - start + len(paths)] = numerator / denominator
     return out
 
 

@@ -17,10 +17,10 @@ import numpy as np
 # At module top on purpose: forked pool workers inherit it instead of re-importing.
 from scipy.signal import lfilter
 
-from sncusum import stats
+from sncusum import nulldist, stats
 from sncusum.blocks import PartialSumGrid, make_block_config
-from sncusum.errors import ConfigurationError, DegenerateStatisticError
-from sncusum.nulldist import NullSample, map_chunks, plan_chunks
+from sncusum.errors import ConfigurationError
+from sncusum.nulldist import NullSample, block_rows, map_chunks, plan_chunks
 
 ERROR_MODELS = ("iid", "ma", "ar")
 ALL_TESTS = stats.ALL_TESTS
@@ -211,24 +211,40 @@ def gen_series(scenario: Scenario, replication: int) -> np.ndarray:
     )
 
 
+def _tally(x: np.ndarray, cfg, tests, thresholds: dict, alpha: float,
+           rejections: dict, degenerate: dict) -> None:
+    """Add the rejections and degenerate rows of a stack of series (one per
+    row) to the per-test counts; a self-normalized test rejects above its
+    threshold in ``thresholds``, the LRV test at level ``alpha``."""
+    grid = stats.unit_scaled(PartialSumGrid(cfg, x))  # scaled once for every rule
+    for name in tests:
+        if name in thresholds:
+            numerator, denominator = stats.RULES[name].ratio(grid)
+            valid = denominator != 0.0
+            rejected = numerator[valid] / denominator[valid] > thresholds[name]
+        else:
+            statistic, sigma2, sigma = stats.cusum_lrv(x)
+            valid = sigma2 != 0.0
+            q = nulldist.kolmogorov_quantile(1.0 - alpha)
+            rejected = statistic[valid] > sigma[valid] * q
+        degenerate[name] += len(x) - int(np.count_nonzero(valid))
+        rejections[name] += int(np.count_nonzero(rejected))
+
+
 def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, stop: int):
-    """Count rejections and degenerate draws per test over one replication range."""
+    """Count rejections and degenerate draws per test over one replication
+    range, a stacked block of replications at a time."""
     cfg = make_block_config(scenario.n, scenario.block_length)
     rejections = dict.fromkeys(tests, 0)
     degenerate = dict.fromkeys(tests, 0)
-    for rep in range(start, stop):
-        x = gen_series(scenario, rep)
-        grid = PartialSumGrid.compute(x, cfg)
-        for name in tests:
-            try:
-                if name in thresholds:
-                    rejected = stats.RULES[name].statistic(grid) > thresholds[name]
-                else:
-                    rejected = stats.cusum_lrv_test(x, scenario.alpha).reject
-            except DegenerateStatisticError:
-                degenerate[name] += 1
-                continue
-            rejections[name] += int(rejected)
+    block = np.empty((min(block_rows(8 * scenario.n), stop - start), scenario.n))
+    for lo in range(start, stop, len(block)):
+        x = block[: stop - lo]
+        for rep, row in zip(range(lo, stop), x):
+            row[:] = gen_series(scenario, rep)
+        if not np.isfinite(x).all():  # c_sigma near the float limit overflows
+            raise ValueError("series contains non-finite values")
+        _tally(x, cfg, tests, thresholds, scenario.alpha, rejections, degenerate)
     return rejections, degenerate
 
 

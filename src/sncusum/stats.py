@@ -63,6 +63,14 @@ class Rule:
             return simple_statistic_from_grid(grid)
         return full_statistic_from_grid(grid, *self.splits)
 
+    def ratio(self, grid: PartialSumGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Numerator and self-normalizer of the statistic along the last axis of
+        a ``unit_scaled`` grid; the statistic is their quotient where the
+        self-normalizer is not zero."""
+        if self.splits is None:
+            return _simple_ratio(grid)
+        return _full_ratio(grid, *self.splits)
+
     def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
         """Run the rule as ``decide_simple`` or ``decide_full`` does."""
         if self.splits is None:
@@ -122,16 +130,24 @@ class TestOutcome:
 
 
 def _bridge_area(values: np.ndarray, n: int) -> np.ndarray:
-    """Integrated deviation of a grid function from its chord through 0.
+    """Integrated deviation of a grid function from its chord through 0,
+    along the last axis.
 
     For a function f on the grid {j/n}, returns at each s = j/n the Riemann
     sum over x in {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.
     """
-    csum = np.cumsum(values)
-    weights = (np.arange(len(values)) + 1) / 2.0
-    out = (csum - values[0] - values * weights) / n
-    out[0] = 0.0
+    weights = (np.arange(values.shape[-1]) + 1) / 2.0
+    out = np.cumsum(values, axis=-1)
+    out -= values[..., :1]
+    out -= values * weights
+    out /= n
+    out[..., 0] = 0.0
     return out
+
+
+def _sup(values: np.ndarray) -> np.ndarray:
+    """max |values| along the last axis."""
+    return np.maximum(values.max(axis=-1), -values.min(axis=-1))
 
 
 def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int]:
@@ -145,52 +161,64 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
-def _exponent(x: np.ndarray) -> int:
-    """Binary exponent e of max|x|: ``ldexp(x, -e)`` lies in (-1, 1)."""
-    return math.frexp(max(x.max(), -x.min()))[1]
+def _exponent(x: np.ndarray) -> np.ndarray:
+    """Binary exponent e of max|x| along the last axis: ``ldexp(x, -e)``
+    lies in (-1, 1); 0 for a zero row."""
+    return np.frexp(_sup(x))[1]
 
 
-def _unit_scaled(grid: PartialSumGrid) -> PartialSumGrid:
-    """The grid of the series times the exact power of two 2**-e, which both
+def unit_scaled(grid: PartialSumGrid) -> PartialSumGrid:
+    """The grid of each series times the exact power of two 2**-e, which both
     ratios are invariant to: no sum of it overflows, and tiny data keep their bits."""
-    return PartialSumGrid(grid.cfg, np.ldexp(grid.x, -_exponent(grid.x)))
+    return PartialSumGrid(grid.cfg, np.ldexp(grid.x, -_exponent(grid.x)[..., None]))
 
 
-def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
-    """Simple ratio statistic from the plain partial sums and the knot margins."""
-    grid = _unit_scaled(grid)
+def _simple_ratio(grid: PartialSumGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Simple ratio's numerator (plain partial sums) and self-normalizer (knot
+    margins) along the last axis of a unit-scaled grid."""
     cfg = grid.cfg
     last = cfg.n_knots
     if last < 2:
         raise ConfigurationError(
             f"need at least 2 coarse steps, got {last} for n={cfg.n}"
         )
-    numerator = np.abs(np.cumsum(grid.x)).max() / cfg.n
+    numerator = _sup(np.cumsum(grid.x, axis=-1)) / cfg.n
     margins = grid.knot_margins()
     scaled = np.arange(last) / (last - 1)  # rescaled time at knots 1..last
-    denominator = np.abs(margins[1:] - scaled * margins[last]).max()
+    return numerator, _sup(margins[..., 1:] - scaled * margins[..., last, None])
+
+
+def _full_ratio(grid: PartialSumGrid, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Full ratio's numerator and self-normalizer from the process rows at
+    knots k0, k1 and last, along the last axis of a unit-scaled grid."""
+    k0, k1, last = _knot_indices(grid.cfg, t0, t1)
+    early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
+    contrast = contrast_values(early, mid, late, (k1 - k0) / (last - k0))
+    return _sup(numerator_values(early)), _sup(_bridge_area(contrast, grid.cfg.n))
+
+
+def _quotient(numerator, denominator, what: str) -> float:
     if denominator == 0.0:
-        raise DegenerateStatisticError("self-normalizer is zero (constant-zero series?)")
+        raise DegenerateStatisticError(f"self-normalizer is zero ({what} series?)")
     return float(numerator / denominator)
+
+
+def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
+    """Simple ratio statistic from the plain partial sums and the knot margins."""
+    return _quotient(*_simple_ratio(unit_scaled(grid)), "constant-zero")
 
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
-    k0, k1, last = _knot_indices(grid.cfg, t0, t1)
-    grid = _unit_scaled(grid)
-    early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
-    numerator = np.abs(numerator_values(early)).max()
-    contrast = contrast_values(early, mid, late, (k1 - k0) / (last - k0))
-    denominator = np.abs(_bridge_area(contrast, grid.cfg.n)).max()
-    if denominator == 0.0:
-        raise DegenerateStatisticError("self-normalizer is zero (constant series?)")
-    return float(numerator / denominator)
+    return _quotient(*_full_ratio(unit_scaled(grid), t0, t1), "constant")
 
 
 def numerator_values(early: np.ndarray) -> np.ndarray:
     """Numerator process of the full rule on the s-grid, from the row at knot k0."""
-    n = early.size - 1
-    return math.sqrt(n) * _bridge_area(early, n)
+    n = early.shape[-1] - 1
+    out = _bridge_area(early, n)
+    out *= math.sqrt(n)
+    return out
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
@@ -198,7 +226,12 @@ def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
     """Between-knot contrast on the s-grid, from the rows at knots k0, k1 and
     last: the slice increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0)
     times the increment from k0 to the last knot."""
-    return math.sqrt(early.size - 1) * (mid - early - ratio * (late - early))
+    out = mid - early
+    step = late - early
+    step *= ratio
+    out -= step
+    out *= math.sqrt(early.shape[-1] - 1)
+    return out
 
 
 def simple_statistic(x, cfg: BlockConfig) -> float:
@@ -241,6 +274,20 @@ def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> Te
     return _decide(rule, x, cfg, params.alpha, null)
 
 
+def _bandwidth(n: int) -> int:
+    return max(1, int(n ** (1.0 / 3.0) + 1e-9))
+
+
+def _lrv(x: np.ndarray, m: int) -> np.ndarray:
+    """``lrv_estimate`` with bandwidth ``m`` along the last axis."""
+    n = x.shape[-1]
+    # summing x[i+j] - x[i+m+j] keeps constant series at exactly zero
+    csum = np.zeros(x.shape[:-1] + (n - m + 1,))
+    np.cumsum(x[..., : n - m] - x[..., m:], axis=-1, out=csum[..., 1:])
+    windows = csum[..., m : n - m + 1] - csum[..., : n - 2 * m + 1]
+    return np.mean(windows**2, axis=-1) / (2 * m)
+
+
 def lrv_estimate(x, bandwidth: int | None = None) -> float:
     """Difference-based global long-run variance estimate.
 
@@ -250,33 +297,37 @@ def lrv_estimate(x, bandwidth: int | None = None) -> float:
     """
     x = as_series(x)
     n = x.size
-    m = bandwidth if bandwidth is not None else max(1, int(n ** (1.0 / 3.0) + 1e-9))
+    m = bandwidth if bandwidth is not None else _bandwidth(n)
     if m < 1:
         raise ValueError(f"bandwidth must be >= 1, got {m}")
     if n < 2 * m:
         raise ValueError(f"need n >= 2*bandwidth, got n={n}, bandwidth={m}")
-    # summing x[i+j] - x[i+m+j] keeps constant series at exactly zero
-    diffs = x[: n - m] - x[m:]
-    csum = np.concatenate(([0.0], np.cumsum(diffs)))
-    windows = csum[m : n - m + 1] - csum[: n - 2 * m + 1]
-    return float(np.mean(windows**2) / (2 * m))
+    return float(_lrv(x, m))
+
+
+def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CUSUM statistic, long-run variance estimate sigma2 and sigma along the
+    last axis of validated series; sigma2 = 0 makes the test degenerate.
+
+    The estimate squares window sums, which overflow for large data, so it is
+    taken of the series times the exact power of two 2**-e and sigma scaled
+    back by 2**e.
+    """
+    n = x.shape[-1]
+    csum = np.cumsum(x, axis=-1)
+    statistic = _sup(csum - np.arange(1, n + 1) / n * csum[..., -1:]) / math.sqrt(n)
+    exponent = _exponent(x)
+    sigma2 = _lrv(np.ldexp(x, -exponent[..., None]), _bandwidth(n))
+    return statistic, sigma2, np.ldexp(np.sqrt(sigma2), exponent)
 
 
 def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     """Classical CUSUM test scaled by the estimated long-run variance."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    x = as_series(x)
-    n = x.size
-    csum = np.cumsum(x)
-    statistic = float(np.abs(csum - np.arange(1, n + 1) / n * csum[-1]).max() / math.sqrt(n))
-    # The estimate squares window sums, which overflow for large data; an
-    # exact power-of-two pre-scale keeps it finite and leaves sigma unchanged.
-    exponent = _exponent(x)
-    sigma2 = lrv_estimate(np.ldexp(x, -exponent))
+    statistic, sigma2, sigma = map(float, cusum_lrv(as_series(x)))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
-    sigma = math.ldexp(math.sqrt(sigma2), exponent)
     q = nulldist.kolmogorov_quantile(1.0 - alpha)
     return TestOutcome(
         method=METHOD_LRV,

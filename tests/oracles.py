@@ -1,7 +1,8 @@
 """Literal reference implementations used to derive and pin expected values.
 
 Everything here is written as plain index-by-index loops over the defining
-sums, independent of the package's prefix-sum kernels.
+sums, independent of the package's prefix-sum kernels, or, for the null
+draws, one replication at a time, independent of the stacked kernel.
 """
 
 import math
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from sncusum.blocks import permute_index
+from sncusum.nulldist import SIMPLE_RATIO
 
 
 def grid_floor(x: float) -> int:
@@ -78,3 +80,25 @@ def simple_statistic(x, cfg):
         for k in range(1, last + 1)
     )
     return numerator / denominator
+
+
+def ratio_draw(kind, rng, grid_steps):
+    """One pivotal-ratio draw from one replication's stream, as the package
+    drew it one replication at a time."""
+    z = rng.standard_normal((2, grid_steps))
+    paths = np.cumsum(z, axis=1)
+    paths /= math.sqrt(grid_steps)
+    numerator = np.abs(paths[0]).max()
+    if kind == SIMPLE_RATIO:
+        grid = np.arange(1, grid_steps + 1) / grid_steps
+        denominator = np.abs(paths[1] - grid * paths[1, -1]).max()
+    else:
+        denominator = np.abs(paths[1]).max()
+    return numerator / denominator
+
+
+def simulate_chunk(kind, grid_steps, seed, start, stop):
+    out = np.empty(stop - start)
+    for rep in range(start, stop):
+        out[rep - start] = ratio_draw(kind, np.random.default_rng([seed, rep]), grid_steps)
+    return out

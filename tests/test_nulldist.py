@@ -1,4 +1,5 @@
 from fractions import Fraction
+import hashlib
 import math
 import operator
 import os
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
+from sncusum import nulldist
 from sncusum.errors import CacheFormatError, CacheProvenanceError, ConfigurationError
 from sncusum.nulldist import (
     FULL_RATIO,
     SIMPLE_RATIO,
     NullSample,
     critical_value,
+    block_rows,
     kolmogorov_cdf,
     kolmogorov_quantile,
     load_sample,
@@ -25,6 +28,8 @@ from sncusum.nulldist import (
     save_sample,
     simulate_null,
 )
+
+import oracles
 
 
 def small_sample(draws, kind=FULL_RATIO, grid_steps=100, seed=0):
@@ -45,6 +50,28 @@ def test_simulate_null_validation():
         simulate_null(FULL_RATIO, 100, 1000, -1)
     with pytest.raises(ValueError):
         simulate_null(FULL_RATIO, 100, 1000, 0, workers=0)
+
+
+@pytest.mark.parametrize("kind", [SIMPLE_RATIO, FULL_RATIO])
+@pytest.mark.parametrize("grid_steps", [100, 137, 1000])
+def test_stacked_null_kernel_equals_the_per_replication_loop(kind, grid_steps):
+    # a range that starts off zero and spans several stacked blocks
+    assert block_rows(16 * grid_steps) < 1290 // 3
+    for start, stop in ((10, 1300), (7, 8)):
+        stacked = nulldist._simulate_chunk(kind, grid_steps, 5, start, stop)
+        literal = oracles.simulate_chunk(kind, grid_steps, 5, start, stop)
+        assert stacked.tobytes() == literal.tobytes()
+
+
+def test_simulate_null_draws_pinned():
+    # sha256 of the draws of the per-replication kernel that preceded the stacked one
+    digests = {
+        SIMPLE_RATIO: "b9a70a56132942d24605d393079949b52141173bc20e579fa858d47c7c4c11a6",
+        FULL_RATIO: "0331b204da1a498e572d6e98cb4be7cf597b36c071196f7d4e696812e97a011a",
+    }
+    for kind, digest in digests.items():
+        draws = simulate_null(kind, grid_steps=100, replications=1000, seed=0).draws
+        assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_draws_positive_finite_sorted(null_full_small, null_simple_small):

@@ -3,6 +3,7 @@ import importlib.util
 import os
 from pathlib import Path
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sncusum import nulldist, simulation, stats
 from sncusum.blocks import make_block_config
 from sncusum.errors import ConfigurationError
 from sncusum.simulation import (
+    ALL_TESTS,
     Scenario,
     aggregate_rates,
     gen_errors,
@@ -290,6 +292,60 @@ def test_simulate_applies_the_rules_test_applies(monkeypatch, fake_pools, nulls,
     assert counts == expected
     assert all(0 < count < cell.replications for count in counts.values())
     assert degenerate == dict.fromkeys(decide, 0)
+
+
+@pytest.mark.parametrize("size", [1, 7, nulldist.block_rows(8 * 1000) + 5])
+def test_stacked_chunk_counts_equal_the_single_series_decisions(nulls, size):
+    # blocks of block_rows(8 n) replications: one partial block, one full
+    # block plus a partial one
+    cell = Scenario(mean_id=0, sigma_id=2, c_sigma=1.0, error_model="ar", n=1000,
+                    replications=100, alpha=0.1, seed=9)
+    cfg = make_block_config(cell.n)
+    simple, full = nulls[nulldist.SIMPLE_RATIO], nulls[nulldist.FULL_RATIO]
+    decide = {
+        "r_lrv": lambda x: stats.cusum_lrv_test(x, cell.alpha),
+        "sn_simple": lambda x: stats.decide_simple(x, cfg, cell.alpha, simple),
+        "sn_full_v1": lambda x: stats.decide_full(x, cfg, stats.TestParams.v1(cell.alpha), full),
+        "sn_full_v2": lambda x: stats.decide_full(x, cfg, stats.TestParams.v2(cell.alpha), full),
+    }
+    thresholds = {name: rule.threshold(nulls[rule.kind], cell.alpha)[1]
+                  for name, rule in stats.RULES.items()}
+    start = 3
+    counts, degenerate = simulation._scenario_chunk(
+        cell, tuple(decide), thresholds, start, start + size)
+    series = [gen_series(cell, rep) for rep in range(start, start + size)]
+    assert counts == {name: sum(rule(x).reject for x in series) for name, rule in decide.items()}
+    assert degenerate == dict.fromkeys(decide, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_tally_counts_a_zero_row_as_degenerate():
+    cfg = make_block_config(250)
+    x = np.random.default_rng(31).standard_normal((4, 250))
+    x[2] = 0.0
+    thresholds = dict.fromkeys(stats.RULES, 0.0)
+    rejections, degenerate = dict.fromkeys(ALL_TESTS, 0), dict.fromkeys(ALL_TESTS, 0)
+    simulation._tally(x, cfg, ALL_TESTS, thresholds, 0.05, rejections, degenerate)
+    assert degenerate == dict.fromkeys(ALL_TESTS, 1)
+    # every statistic of a non-zero row is positive, above a zero threshold
+    assert {name: rejections[name] for name in stats.RULES} == dict.fromkeys(stats.RULES, 3)
+
+
+def test_scenario_chunk_memory_is_linear():
+    # A row of n=1e5 floats (800 KB) exceeds the stacked block's memory
+    # budget, so the block falls to one row and the peak is that of one series:
+    # the block row, gen_series' temporaries and the full statistic's rows,
+    # about nine length-n arrays.  Stacking both replications would double it.
+    cell = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
+                    n=100_000, replications=2)
+    thresholds = dict.fromkeys(stats.RULES, 3.0)
+    tracemalloc.start()
+    try:
+        simulation._scenario_chunk(cell, ALL_TESTS, thresholds, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 8 * cell.n
 
 
 def _reproduce_tables():

@@ -196,6 +196,36 @@ def test_full_statistic_memory_is_linear():
     assert peak < 16 * 2**20
 
 
+def stack_rows():
+    """Plain rows, rows scaled by 2**1000 and 2**-1000, and an all-zero row of
+    length 250, which is not a multiple of the block length 7."""
+    rng = np.random.default_rng(30)
+    plain = rng.standard_normal((3, 250)) + np.array([[0.0], [0.4], [-1.0]])
+    return np.vstack([plain, np.ldexp(plain[:2], 1000), np.ldexp(plain[1:], -1000),
+                      np.zeros((1, 250))])
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_statistics_equal_the_single_series_calls():
+    x = stack_rows()
+    cfg = make_block_config(250)
+    assert cfg.n % cfg.block_length
+    grid = stats.unit_scaled(PartialSumGrid(cfg, x))
+    for rule in stats.RULES.values():
+        numerator, denominator = rule.ratio(grid)
+        for row, top, bottom in zip(x[:-1], numerator, denominator):
+            single = rule.statistic(PartialSumGrid.compute(row, cfg))
+            assert (top / bottom).hex() == single.hex(), rule.test_id
+        assert numerator[-1] == denominator[-1] == 0.0
+    statistic, sigma2, sigma = stats.cusum_lrv(x)
+    q = nulldist.kolmogorov_quantile(0.95)
+    for row, value, scale in zip(x[:-1], statistic, sigma):
+        single = stats.cusum_lrv_test(row, 0.05)
+        assert value.hex() == single.statistic.hex()
+        assert (scale * q).hex() == single.threshold.hex()
+    assert sigma2[-1] == 0.0
+
+
 def test_full_statistic_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(6):
