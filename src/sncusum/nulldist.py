@@ -162,9 +162,12 @@ def quantile(sample: NullSample, level: float) -> float:
 def critical_value(sample: NullSample, alpha: float) -> float:
     """The (1 - alpha) quantile a test at level ``alpha`` rejects above.
 
-    Refuses a level below the p-value resolution 1/(N+1) of the sample, where
-    even the largest draw would not give a test of size alpha.
+    Refuses a level outside (0, 1), and one below the p-value resolution
+    1/(N+1) of the sample, where even the largest draw would not give a test
+    of size alpha.
     """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha={alpha} not in (0, 1)")
     if alpha * (sample.replications + 1) < 1:
         raise ConfigurationError(
             f"alpha={alpha:g} is below the resolution 1/(N+1) of N={sample.replications} draws"
@@ -259,6 +262,8 @@ def load_sample(
             raise CacheFormatError(f"malformed cache header in {path}: {header!r}") from exc
         if file_kind not in _KINDS:
             raise CacheFormatError(f"unknown ratio kind {file_kind!r} in {path}")
+        if file_n < 1:
+            raise CacheFormatError(f"cache {path} claims N={file_n} draws; need at least 1")
 
         for name, expected, actual in [
             ("kind", kind, file_kind),

@@ -72,11 +72,11 @@ class Rule:
         return _full_ratio(grid, *self.splits)
 
     def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
-        """Run the rule as ``decide_simple`` or ``decide_full`` does."""
+        """Run the rule through ``decide_simple``, or ``decide_full`` with
+        ``TestParams(alpha, self)``."""
         if self.splits is None:
             return decide_simple(x, cfg, alpha, null)
-        tag = self.test_id.removeprefix("sn_full_")
-        return decide_full(x, cfg, TestParams(alpha, *self.splits, tag), null)
+        return decide_full(x, cfg, TestParams(alpha, self), null)
 
 
 # The self-normalized tests, keyed by test id.
@@ -90,31 +90,18 @@ ALL_TESTS = (METHOD_LRV, *RULES)
 
 @dataclass(frozen=True)
 class TestParams:
-    """Level and split points of a full rule; a tag that names an entry of
-    ``RULES`` (``v2``: ``sn_full_v2``) must carry that entry's split points."""
+    """A level bound to a full rule of ``RULES``, which holds its split points."""
 
-    alpha: float = 0.05
-    t0: float = RULES[METHOD_FULL_V2].splits[0]
-    t1: float = RULES[METHOD_FULL_V2].splits[1]
-    tag: str = "v2"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha={self.alpha} not in (0, 1)")
-        if not 0.0 < self.t0 < self.t1 < 1.0:
-            raise ValueError(f"need 0 < t0 < t1 < 1, got t0={self.t0}, t1={self.t1}")
-        known = RULES.get(f"sn_full_{self.tag}")
-        if known is not None and known.splits != (self.t0, self.t1):
-            raise ValueError(f"{known.test_id} has split points {known.splits}, "
-                             f"not {(self.t0, self.t1)}")
+    alpha: float
+    rule: Rule
 
     @classmethod
     def v1(cls, alpha: float = 0.05) -> "TestParams":
-        return cls(alpha, *RULES[METHOD_FULL_V1].splits, "v1")
+        return cls(alpha, RULES[METHOD_FULL_V1])
 
     @classmethod
     def v2(cls, alpha: float = 0.05) -> "TestParams":
-        return cls(alpha, *RULES[METHOD_FULL_V2].splits, "v2")
+        return cls(alpha, RULES[METHOD_FULL_V2])
 
 
 @dataclass(frozen=True)
@@ -269,9 +256,9 @@ def decide_simple(x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOu
 
 
 def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> TestOutcome:
-    """Run the constant-mean test against a simulated full-ratio null sample."""
-    rule = Rule(f"sn_full_{params.tag}", nulldist.FULL_RATIO, (params.t0, params.t1))
-    return _decide(rule, x, cfg, params.alpha, null)
+    """Run the constant-mean test of ``params.rule`` at level ``params.alpha``
+    against a simulated full-ratio null sample."""
+    return _decide(params.rule, x, cfg, params.alpha, null)
 
 
 def _bandwidth(n: int) -> int:

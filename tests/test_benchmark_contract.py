@@ -65,3 +65,15 @@ def test_cli_test_records_one_decide_span(monkeypatch, tmp_path, capsys):
             assert cli.main(argv) == 0
         assert tracer.counts[span] == 1, method
     capsys.readouterr()
+
+
+def test_workload_decide_full_call_matches_the_rule(null_full_small):
+    # ``perfbench/workloads.py`` decides through this exact import and call shape
+    from sncusum import TestParams, decide_full
+
+    x = np.random.default_rng(2).standard_normal(500)
+    cfg = make_block_config(500)
+    for params, test_id in ((TestParams.v1(0.05), "sn_full_v1"),
+                            (TestParams.v2(0.05), "sn_full_v2")):
+        outcome = decide_full(x, cfg, params, null_full_small)
+        assert outcome == stats.RULES[test_id].decide(x, cfg, 0.05, null_full_small)

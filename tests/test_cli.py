@@ -140,6 +140,20 @@ def test_cmd_test_refuses_unresolvable_alpha(capsys, cache_dir, gauss_csv):
         assert "resolution" in err
 
 
+@pytest.mark.parametrize("alpha", ["0", "-0.1", "1", "1.5", "nan"])
+@pytest.mark.parametrize("method", ["simple", "full-v1", "full-v2", "lrv"])
+def test_cmd_test_refuses_level_outside_unit_interval(capsys, cache_dir, gauss_csv,
+                                                      method, alpha):
+    # every method names the level it refuses, whatever the null behind it
+    code, out, err = run_cli(
+        capsys,
+        ["test", "--input", str(gauss_csv), "--method", method, "--alpha", alpha,
+         "--null-cache", str(cache_dir)],
+    )
+    assert (code, out) == (1, "")
+    assert "alpha=" in err
+
+
 def test_cmd_test_null_pvalues_approximately_uniform(capsys, cache_dir, tmp_path):
     # under a constant mean, p-values concentrate above the level for the
     # (conservative) full rule; p > 0.05 in well over 90% of runs

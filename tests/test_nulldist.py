@@ -321,6 +321,12 @@ def test_cache_rejects_corruption(tmp_path, null_simple_small):
     with pytest.raises(CacheFormatError):
         load_sample(tmp_path / "bad5.snq")
 
+    # an empty sample resolves no level; refused from its header alone
+    empty = lines[0].replace(f"N={null_simple_small.replications}", "N=0")
+    (tmp_path / "bad6.snq").write_text(empty + "\n")
+    with pytest.raises(CacheFormatError, match="N=0"):
+        load_sample(tmp_path / "bad6.snq")
+
 
 @pytest.mark.parametrize(
     "draws",

@@ -302,25 +302,25 @@ def test_params_threshold_factors():
     assert stats.RULES["sn_simple"].factor == 1.0
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        stats.TestParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        stats.TestParams(t0=0.5, t1=0.4)
-
-
-def test_params_tag_must_carry_its_table_split_points(null_full_small):
+def test_params_validation(null_simple_small, null_full_small):
     x = np.random.default_rng(12).standard_normal(200)
     cfg = make_block_config(200)
-    with pytest.raises(ValueError, match=r"sn_full_v2.*\(0\.3333333333333333, 0\.5\).*"
-                                         r"\(0\.25, 0\.5\)"):
-        stats.decide_full(x, cfg, stats.TestParams(t0=0.25, t1=0.5), null_full_small)
-    with pytest.raises(ValueError, match="sn_full_v1"):
-        stats.TestParams(tag="v1")
-    out = stats.decide_full(x, cfg, stats.TestParams(t0=0.25, t1=0.5, tag="q"), null_full_small)
-    assert out.method == "sn_full_q"
-    assert out.statistic == stats.full_statistic(x, cfg, 0.25, 0.5)
-    assert stats.TestParams() == stats.TestParams.v2()
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha="):
+            stats.decide_simple(x, cfg, alpha, null_simple_small)
+        with pytest.raises(ValueError, match="alpha="):
+            stats.decide_full(x, cfg, stats.TestParams.v2(alpha), null_full_small)
+    with pytest.raises(ConfigurationError):
+        stats.full_statistic(x, cfg, 0.5, 0.4)
+
+
+def test_params_bind_a_level_to_a_table_rule(null_full_small):
+    x = np.random.default_rng(12).standard_normal(200)
+    cfg = make_block_config(200)
+    for params, test_id in ((stats.TestParams.v1(), "sn_full_v1"),
+                            (stats.TestParams.v2(), "sn_full_v2")):
+        assert params.rule is stats.RULES[test_id]
+        assert stats.decide_full(x, cfg, params, null_full_small).method == params.rule.test_id
 
 
 def test_decide_refuses_the_geometry_test_refuses(null_simple_small, null_full_small):
