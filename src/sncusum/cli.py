@@ -151,6 +151,7 @@ def cmd_test(args) -> int:
 
 def cmd_nulldist(args) -> int:
     out = Path(args.out)
+    workers = nulldist.usable_cpus() if args.workers is None else args.workers
     summary = {}
     for kind, seed in nulldist.kind_seeds(args.seed).items():  # checks both seeds first
         sample = nulldist.simulate_null(
@@ -158,7 +159,7 @@ def cmd_nulldist(args) -> int:
             grid_steps=args.steps,
             replications=args.reps,
             seed=seed,
-            workers=args.workers,
+            workers=workers,
         )
         out.mkdir(parents=True, exist_ok=True)  # not before: a bad setting leaves no directory
         path = out / f"{kind}.snq"
@@ -282,7 +283,10 @@ def _build_parser() -> _Parser:
     p_null.add_argument("--reps", type=int, default=100_000, help="replications (default 100000)")
     p_null.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     p_null.add_argument("--out", required=True, help="output directory")
-    p_null.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p_null.add_argument(
+        "--workers", type=int, default=None,
+        help="parallel workers (default: the CPUs this process may run on)",
+    )
     p_null.set_defaults(func=cmd_nulldist)
 
     p_sim = sub.add_parser("simulate", help="run a rejection-rate scenario grid")

@@ -9,7 +9,8 @@ independent Brownian motions on [0, 1]:
 Paths are simulated as scaled Gaussian random walks on a grid of
 ``grid_steps`` points.  Every replication draws from its own RNG stream keyed
 by (seed, replication index), so results are bit-identical for any worker
-count or scheduling order.
+count or scheduling order.  ``keyed_streams`` derives the streams of a whole
+replication range in one vectorized pass.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +29,21 @@ _KINDS = (SIMPLE_RATIO, FULL_RATIO)
 # Memory budget of one stacked block of Monte-Carlo replications, sized so
 # that a block and the temporaries of its statistics stay in a core's L2 cache.
 _BLOCK_BYTES = 2**18
+
+# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's LCG
+# multiplier: from them `keyed_streams` derives the PCG64 state that
+# np.random.default_rng([seed, rep]) starts from.
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_BATCH = 1024  # replications whose states are derived in one vectorized pass
+
+# A replication index is one 32-bit entropy word of its stream's seed.
+MAX_REPLICATIONS = 2**32
 
 _CACHE_MAGIC = "snq"
 _CACHE_VERSION = "v1"
@@ -53,6 +69,15 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask where
+    the platform has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def kind_seeds(base: int) -> dict[str, int]:
     """Seed of each ratio kind: ``base`` for the simple ratio, ``base + 1`` for
     the full ratio.  Raises ValueError unless both fit in 64 unsigned bits."""
@@ -73,9 +98,9 @@ def plan_chunks(total: int, workers: int, min_chunk: int) -> list[int]:
 
 def map_chunks(fn, tasks, workers: int) -> list:
     """``[fn(*task) for task in tasks]`` (a list) through one process pool of
-    min(workers, CPU count, number of tasks) processes, or in this process
+    min(workers, usable CPUs, number of tasks) processes, or in this process
     when that is 1.  Results keep the order of ``tasks``."""
-    size = min(workers, os.cpu_count() or 1, len(tasks))
+    size = min(workers, usable_cpus(), len(tasks))
     if size <= 1:
         return [fn(*task) for task in tasks]
     # Imported here: `sn-cusum test` never builds a pool.
@@ -91,6 +116,97 @@ def block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant of numpy SeedSequence's ``hashmix`` before and after
+    each of ``calls`` calls, as a uint32 column: call k XORs with entry k and
+    multiplies by entry k + 1.  It does not depend on the data hashed."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix``, once per row of ``consts`` but the last:
+    row k hashes ``values`` (or its row k) with constants k and k + 1."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _pcg64_states(seed: int, reps: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) pair that ``default_rng([seed, rep])`` seeds, for
+    every rep of a uint32 array: SeedSequence's ``mix_entropy`` and
+    ``generate_state(4, uint64)`` on all reps at once, a row of pool words
+    per step where the steps are independent, then PCG's ``srandom_r`` per
+    rep.  The hash constants depend only on the number of entropy words,
+    which is the same for every rep below 2**32."""
+    seed = int(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # the seed's little-endian words, then the rep, padded with zeros to the pool
+    entropy = np.zeros((max(len(words) + 1, _POOL_WORDS), len(reps)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = reps
+    extra = len(entropy) - _POOL_WORDS
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * (_POOL_WORDS + extra))
+    pool = _hashmix(entropy[:_POOL_WORDS], consts[: _POOL_WORDS + 1])
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):  # every other word absorbs this one
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + _POOL_WORDS]))
+        k += _POOL_WORDS - 1
+    for word in entropy[_POOL_WORDS:]:
+        pool = _mix(pool, _hashmix(word, consts[k : k + _POOL_WORDS + 1]))
+        k += _POOL_WORDS
+    halves = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS))
+    halves = halves.astype(np.uint64)
+    # four little-endian uint64 words: the high and low halves of the initial
+    # state, then those of the stream selector
+    quads = zip(*(halves[0::2] | halves[1::2] << 32).tolist())
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in quads:
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def keyed_streams(seed: int, start: int, stop: int):
+    """The streams of replications ``start`` .. ``stop`` - 1 of ``seed``, in order.
+
+    Yields one Generator, re-seeded before each yield to the state in which
+    ``np.random.default_rng([seed, rep])`` starts, so a draw from it equals the
+    same draw from that stream; use each before taking the next.  The states
+    are derived _SEED_BATCH replications at a time.  The Generator is numpy's
+    own ``default_rng([seed, start])``, and its state must equal the derived
+    one: a numpy release that seeds differently raises RuntimeError instead of
+    changing a draw.
+    """
+    if not 0 <= start <= stop <= MAX_REPLICATIONS:
+        raise ValueError(
+            f"replications {start}..{stop} outside 0..{MAX_REPLICATIONS}: "
+            "an index is one 32-bit word of its stream's seed"
+        )
+    for lo in range(start, stop, _SEED_BATCH):
+        states = _pcg64_states(seed, np.arange(lo, min(lo + _SEED_BATCH, stop), dtype=np.uint32))
+        if lo == start:
+            rng = np.random.default_rng([seed, start])
+            state = rng.bit_generator.state
+            key = state["state"]
+            if (key["state"], key["inc"]) != states[0]:
+                raise RuntimeError(
+                    f"numpy seeds default_rng([{seed}, {start}]) differently from "
+                    "keyed_streams; refusing to draw from other streams"
+                )
+        for key["state"], key["inc"] in states:
+            rng.bit_generator.state = state
+            yield rng
+
+
 def _simulate_chunk(kind: str, grid_steps: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Draws ``start`` .. ``stop`` - 1, a stacked block of replications at a time.
 
@@ -103,10 +219,11 @@ def _simulate_chunk(kind: str, grid_steps: int, seed: int, start: int, stop: int
     root = math.sqrt(grid_steps)
     chord = np.arange(1, grid_steps + 1) / grid_steps
     block = np.empty((min(block_rows(16 * grid_steps), stop - start), 2, grid_steps))
+    streams = keyed_streams(seed, start, stop)
     for lo in range(start, stop, len(block)):
         paths = block[: stop - lo]
-        for rep, rows in zip(range(lo, stop), paths):
-            np.random.default_rng([seed, rep]).standard_normal((2, grid_steps), out=rows)
+        for rows, rng in zip(paths, streams):  # rows first: zip stops before taking a stream
+            rng.standard_normal((2, grid_steps), out=rows)
         np.cumsum(paths, axis=-1, out=paths)
         motion, second = paths[:, 0], paths[:, 1]
         numerator = np.maximum(motion.max(axis=-1), -motion.min(axis=-1)) / root
@@ -135,8 +252,8 @@ def simulate_null(
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if grid_steps < 100:
         raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
-    if replications < 1000:
-        raise ValueError(f"replications must be >= 1000, got {replications}")
+    if not 1000 <= replications <= MAX_REPLICATIONS:
+        raise ValueError(f"replications must be in 1000..{MAX_REPLICATIONS}, got {replications}")
     _check_seed(seed)
 
     bounds = plan_chunks(replications, workers, min_chunk=1000)

@@ -178,8 +178,10 @@ class Scenario:
         if self.error_model not in ERROR_MODELS:
             raise ValueError(f"unknown error model {self.error_model!r}")
         make_block_config(self.n, self.block_length)  # n >= 4, block length in [1, n]
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 1 <= self.replications <= nulldist.MAX_REPLICATIONS:
+            raise ValueError(
+                f"replications must be in 1..{nulldist.MAX_REPLICATIONS}, got {self.replications}"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha={self.alpha} not in (0, 1)")
         if self.seed < 0:
@@ -201,9 +203,15 @@ class ScenarioResult:
         self.rates = {name: count / reps for name, count in self.rejections.items()}
 
 
-def gen_series(scenario: Scenario, replication: int) -> np.ndarray:
-    """Generate the series of one replication from its keyed stream."""
-    eps = gen_errors(scenario.error_model, scenario.n, [scenario.seed, replication])
+def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
+    """Generate the series of one replication from its keyed stream.
+
+    ``stream``, when given, is that stream already seeded: a Generator in the
+    state ``np.random.default_rng([scenario.seed, replication])`` starts from,
+    as ``nulldist.keyed_streams`` yields it.
+    """
+    seed = [scenario.seed, replication] if stream is None else stream
+    eps = gen_errors(scenario.error_model, scenario.n, seed)
     grid = np.arange(1, scenario.n + 1) / scenario.n
     return (
         mean_value(scenario.mean_id, grid)
@@ -238,10 +246,12 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
     rejections = dict.fromkeys(tests, 0)
     degenerate = dict.fromkeys(tests, 0)
     block = np.empty((min(block_rows(8 * scenario.n), stop - start), scenario.n))
+    streams = nulldist.keyed_streams(scenario.seed, start, stop)
     for lo in range(start, stop, len(block)):
         x = block[: stop - lo]
-        for rep, row in zip(range(lo, stop), x):
-            row[:] = gen_series(scenario, rep)
+        # the stream last: zip stops at the end of the block before taking one
+        for rep, row, stream in zip(range(lo, stop), x, streams):
+            row[:] = gen_series(scenario, rep, stream)
         if not np.isfinite(x).all():  # c_sigma near the float limit overflows
             raise ValueError("series contains non-finite values")
         _tally(x, cfg, tests, thresholds, scenario.alpha, rejections, degenerate)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import sys
 from pathlib import Path
 
@@ -58,3 +59,14 @@ def fake_pools(monkeypatch):
         lambda max_workers: FakePool(built, max_workers),
     )
     return built
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets the number of CPUs this process may run on, as
+    ``nulldist.usable_cpus`` reads it from the affinity mask."""
+
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_count

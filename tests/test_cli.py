@@ -285,6 +285,22 @@ def test_nulldist_seed_sensitivity(capsys, tmp_path):
     assert abs(qs["21"] - qs["22"]) / qs["21"] < 0.15
 
 
+def test_nulldist_defaults_to_a_pool_of_the_usable_cpus(capsys, tmp_path, usable_cpus, fake_pools):
+    usable_cpus(3)
+    argv = ["nulldist", "--steps", "100", "--reps", "12000", "--out", str(tmp_path)]
+    assert run_cli(capsys, argv)[0] == 0
+    # one pool per ratio kind, as large as the affinity mask allows
+    assert [pool.max_workers for pool in fake_pools] == [3, 3]
+
+
+def test_nulldist_default_workers_write_the_serial_bytes(capsys, tmp_path):
+    for out, flags in (("default", []), ("serial", ["--workers", "1"])):
+        argv = ["nulldist", "--steps", "100", "--reps", "3000", *flags, "--out", str(tmp_path / out)]
+        assert run_cli(capsys, argv)[0] == 0
+    for name in ("simple-ratio.snq", "full-ratio.snq"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_nulldist_seed_overflow_writes_no_cache(capsys, tmp_path):
     # the full-ratio sample takes seed + 1, which leaves the 64-bit range;
     # 50 grid steps are below the simulator's minimum of 100

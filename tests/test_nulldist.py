@@ -63,6 +63,49 @@ def test_stacked_null_kernel_equals_the_per_replication_loop(kind, grid_steps):
         assert stacked.tobytes() == literal.tobytes()
 
 
+SEEDS = (0, 5, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 12345, 2**200 + 7)
+INDICES = (0, 1, 2, 999, 2**31, 2**32 - 1)
+
+
+def test_keyed_streams_start_where_default_rng_does():
+    for seed in SEEDS:
+        for rep in INDICES:
+            (stream,) = nulldist.keyed_streams(seed, rep, rep + 1)
+            expected = np.random.default_rng([seed, rep]).bit_generator.state
+            assert stream.bit_generator.state == expected, (seed, rep)
+    # across a batch of derived states, and drawing from each stream in turn
+    start, stop = nulldist._SEED_BATCH - 3, nulldist._SEED_BATCH + 2
+    for rep, stream in zip(range(start, stop), nulldist.keyed_streams(7, start, stop), strict=True):
+        assert stream.standard_normal(3).tobytes() == (
+            np.random.default_rng([7, rep]).standard_normal(3).tobytes()
+        )
+
+
+def test_replication_indices_fit_one_entropy_word():
+    assert list(nulldist.keyed_streams(0, 2**32, 2**32)) == []
+    for start, stop in ((2**32, 2**32 + 1), (2**32 - 1, 2**32 + 1), (-1, 0), (3, 2)):
+        with pytest.raises(ValueError, match="32-bit"):
+            next(nulldist.keyed_streams(0, start, stop))
+    # refused before anything is drawn or allocated
+    with pytest.raises(ValueError, match="replications"):
+        simulate_null(FULL_RATIO, 100, 2**32 + 1, 0)
+    from sncusum.simulation import Scenario
+
+    with pytest.raises(ValueError, match="replications"):
+        Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid", n=100,
+                 replications=2**32 + 1)
+
+
+def test_chunk_refuses_streams_numpy_seeds_differently(monkeypatch):
+    # a numpy release whose default_rng hashed its seed into a larger pool
+    def reseeded(key):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key, pool_size=8)))
+
+    monkeypatch.setattr(np.random, "default_rng", reseeded)
+    with pytest.raises(RuntimeError, match="differently"):
+        nulldist._simulate_chunk(FULL_RATIO, 100, 5, 10, 20)
+
+
 def test_simulate_null_draws_pinned():
     # sha256 of the draws of the per-replication kernel that preceded the stacked one
     digests = {
@@ -97,14 +140,14 @@ def test_simulation_deterministic_across_workers():
     assert np.array_equal(one.draws, many.draws)
 
 
-def test_plan_chunks_caps_pool(monkeypatch, fake_pools):
+def test_plan_chunks_caps_pool(usable_cpus, fake_pools):
     # plan_chunks splits; map_chunks sizes the pool (a fake: no worker starts)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cpus(2)
     bounds = plan_chunks(100_000, 10**6, min_chunk=1000)
     assert (bounds[0], bounds[-1], len(bounds)) == (0, 100_000, 101)
     chunks = list(zip(bounds[1:], bounds[:-1]))
     assert map_chunks(operator.sub, chunks, 10**6) == [1000] * 100
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     assert plan_chunks(3000, 8, min_chunk=1000) == [0, 1000, 2000, 3000]
     assert map_chunks(operator.sub, [(3, 1)] * 3, 8) == [2] * 3
     assert plan_chunks(40, 1, min_chunk=1) == [0, 10, 20, 30, 40]
@@ -114,6 +157,16 @@ def test_plan_chunks_caps_pool(monkeypatch, fake_pools):
     for workers in (0, -3):
         with pytest.raises(ValueError):
             plan_chunks(1000, workers, min_chunk=1)
+
+
+def test_usable_cpus_read_the_affinity_mask_else_the_cpu_count(monkeypatch, usable_cpus):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    usable_cpus(3)
+    assert nulldist.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity masks
+    assert nulldist.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert nulldist.usable_cpus() == 1
 
 
 def test_denominator_marginal_mean():

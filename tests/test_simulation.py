@@ -1,6 +1,5 @@
 import dataclasses
 import importlib.util
-import os
 from pathlib import Path
 import pickle
 import tracemalloc
@@ -126,6 +125,14 @@ def test_series_deterministic_per_replication():
     assert not np.array_equal(gen_series(sc, 7), gen_series(sc, 8))
 
 
+def test_series_from_a_keyed_stream_is_the_series_of_its_replication():
+    for model in ("iid", "ma", "ar"):
+        sc = Scenario(mean_id=2, sigma_id=1, c_sigma=0.7, error_model=model,
+                      n=60, replications=10, seed=2**64 + 3)
+        for rep, stream in zip(range(3, 9), nulldist.keyed_streams(sc.seed, 3, 9)):
+            assert gen_series(sc, rep, stream).tobytes() == gen_series(sc, rep).tobytes()
+
+
 def test_scenario_validation():
     good = dict(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                 n=100, replications=10)
@@ -215,13 +222,13 @@ def test_run_scenario_worker_count_invariant(nulls):
     assert [r.rejections for r in serial[:2]] != [r.rejections for r in serial[2:]]
 
 
-def test_run_grid_builds_one_capped_pool_of_thresholds(monkeypatch, fake_pools, nulls):
+def test_run_grid_builds_one_capped_pool_of_thresholds(usable_cpus, fake_pools, nulls):
     cells = scenario_cells([0], [0], [1.0], ["iid", "ma", "ar"], [100], replications=6, seed=7)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     pooled = run_grid(cells, nulls=nulls, workers=2)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    usable_cpus(3)
     run_grid(cells, nulls=nulls, workers=8)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     run_grid([dataclasses.replace(cells[0], replications=2)], nulls=nulls, workers=8)
     # one pool per run, capped by the worker count, the CPU count, the task count
     assert [pool.max_workers for pool in fake_pools] == [2, 3, 2]
@@ -237,8 +244,8 @@ def test_run_grid_builds_one_capped_pool_of_thresholds(monkeypatch, fake_pools, 
     assert [r.rejections for r in serial] == [r.rejections for r in pooled]
 
 
-def test_run_grid_refuses_before_building_a_pool(monkeypatch, fake_pools, nulls):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+def test_run_grid_refuses_before_building_a_pool(usable_cpus, fake_pools, nulls):
+    usable_cpus(64)
     good = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                     n=100, replications=5)
     unresolvable = dataclasses.replace(good, alpha=1e-4)
@@ -253,10 +260,10 @@ def test_run_grid_refuses_before_building_a_pool(monkeypatch, fake_pools, nulls)
     assert fake_pools == []
 
 
-def test_run_grid_checks_every_cell_before_building_a_pool(monkeypatch, fake_pools, nulls):
+def test_run_grid_checks_every_cell_before_building_a_pool(usable_cpus, fake_pools, nulls):
     # n=20 has 6 blocks of 3, too many for 20 points (its v2 split points
     # share a knot as well); the n=500 cell must not run first
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     cells = scenario_cells([0], [0], [1.0], ["iid"], [500, 20], replications=4)
     with pytest.raises(ConfigurationError, match=r"n=20 < 4 \* n_blocks=24"):
         run_grid(cells, tests=("sn_full_v2",), nulls=nulls, workers=2)
@@ -264,7 +271,7 @@ def test_run_grid_checks_every_cell_before_building_a_pool(monkeypatch, fake_poo
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.05])
-def test_simulate_applies_the_rules_test_applies(monkeypatch, fake_pools, nulls, alpha):
+def test_simulate_applies_the_rules_test_applies(usable_cpus, fake_pools, nulls, alpha):
     # a cell where every test rejects some replications and accepts others
     cell = Scenario(mean_id=3, sigma_id=2, c_sigma=1.5, error_model="ar", n=200,
                     replications=20, alpha=alpha, seed=8)
@@ -276,7 +283,7 @@ def test_simulate_applies_the_rules_test_applies(monkeypatch, fake_pools, nulls,
         "sn_full_v1": lambda x: stats.decide_full(x, cfg, stats.TestParams.v1(alpha), full),
         "sn_full_v2": lambda x: stats.decide_full(x, cfg, stats.TestParams.v2(alpha), full),
     }
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     run_grid([cell], tests=tuple(decide), nulls=nulls, workers=2)
     (pool,) = fake_pools
     x = gen_series(cell, 0)
@@ -356,9 +363,9 @@ def _reproduce_tables():
     return module
 
 
-def test_reproduce_tables_runs_both_grids_through_one_pool(monkeypatch, fake_pools, tmp_path):
+def test_reproduce_tables_runs_both_grids_through_one_pool(usable_cpus, fake_pools, tmp_path):
     reproduce_tables = _reproduce_tables()
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    usable_cpus(64)
     argv = ["--reps", "2", "--sizes", "100", "--null-reps", "1000", "--workers", "2",
             "--out", str(tmp_path)]
     assert reproduce_tables.main(argv) == 0
