@@ -107,6 +107,17 @@ def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
     return x
 
 
+def _sup(values: np.ndarray) -> np.ndarray:
+    """max |values| along the last axis."""
+    return np.maximum(values.max(axis=-1), -values.min(axis=-1))
+
+
+def _exponent(x: np.ndarray) -> np.ndarray:
+    """Binary exponent e of max|x| along the last axis: ``ldexp(x, -e)``
+    lies in (-1, 1); 0 for a zero row."""
+    return np.frexp(_sup(x))[1]
+
+
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value} not in [0, 1]")
@@ -128,11 +139,15 @@ def _row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
 
 def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
     """Bivariate partial sum: average of the observations whose time rank is
-    at most floor(t*n) and whose sample position is at most floor(s*n)."""
+    at most floor(t*n) and whose sample position is at most floor(s*n);
+    exact at any finite scale of the data, since the row is taken of the
+    series times 2**-e and its value scaled back by 2**e."""
     x = as_series(x, cfg)
     _check_unit("t", t)
     _check_unit("s", s)
-    return float(_row(x, cfg, _floor_index(t * cfg.n))[_floor_index(s * cfg.n)])
+    e = int(_exponent(x))
+    row = _row(np.ldexp(x, -e), cfg, _floor_index(t * cfg.n))
+    return float(np.ldexp(row[_floor_index(s * cfg.n)], e))
 
 
 def knot_of(cfg: BlockConfig, t: float) -> int:

@@ -2,10 +2,11 @@
 
 
 class DegenerateStatisticError(ArithmeticError):
-    """Raised when a self-normalized ratio is 0/0 (e.g. a constant series).
+    """Raised when a single-series statistic is 0/0: a zero self-normalizer
+    or a zero long-run variance estimate (e.g. a constant series).
 
-    Kept distinct from ValueError so simulation drivers can count degenerate
-    draws separately instead of treating them as rejections or input bugs.
+    Kept distinct from ValueError so that ``sn-cusum test`` exits 2 rather
+    than as a usage error; the scenario runner counts such rows by mask.
     """
 
 

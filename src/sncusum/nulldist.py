@@ -304,6 +304,8 @@ def kolmogorov_cdf(x: float) -> float:
     Evaluated as the alternating series 1 - 2*sum_k (-1)**(k-1) exp(-2 k^2 x^2),
     truncated once a term drops below 1e-12.
     """
+    if math.isnan(x):
+        raise ValueError("kolmogorov_cdf: x is NaN")
     if x <= 0.0:
         return 0.0
     total = 0.0

@@ -224,17 +224,17 @@ def _tally(x: np.ndarray, cfg, tests, thresholds: dict, alpha: float,
     """Add the rejections and degenerate rows of a stack of series (one per
     row) to the per-test counts; a self-normalized test rejects above its
     threshold in ``thresholds``, the LRV test at level ``alpha``."""
-    grid = stats.unit_scaled(PartialSumGrid(cfg, x))  # scaled once for every rule
+    grid = stats.unit_scaled(PartialSumGrid(cfg, x))  # scaled once for every test
     for name in tests:
         if name in thresholds:
             numerator, denominator = stats.RULES[name].ratio(grid)
             valid = denominator != 0.0
             rejected = numerator[valid] / denominator[valid] > thresholds[name]
         else:
-            statistic, sigma2, sigma = stats.cusum_lrv(x)
+            statistic, sigma2 = stats.cusum_lrv(grid.x)
             valid = sigma2 != 0.0
             q = nulldist.kolmogorov_quantile(1.0 - alpha)
-            rejected = statistic[valid] > sigma[valid] * q
+            rejected = statistic[valid] > np.sqrt(sigma2[valid]) * q
         degenerate[name] += len(x) - int(np.count_nonzero(valid))
         rejections[name] += int(np.count_nonzero(rejected))
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from sncusum.blocks import BlockConfig, PartialSumGrid, as_series, knot_of
+from sncusum.blocks import BlockConfig, PartialSumGrid, _exponent, _sup, as_series, knot_of
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 from sncusum import nulldist
 from sncusum.nulldist import NullSample
@@ -132,11 +132,6 @@ def _bridge_area(values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _sup(values: np.ndarray) -> np.ndarray:
-    """max |values| along the last axis."""
-    return np.maximum(values.max(axis=-1), -values.min(axis=-1))
-
-
 def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int]:
     last = cfg.n_knots
     k0, k1 = knot_of(cfg, t0), knot_of(cfg, t1)
@@ -148,15 +143,9 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
-def _exponent(x: np.ndarray) -> np.ndarray:
-    """Binary exponent e of max|x| along the last axis: ``ldexp(x, -e)``
-    lies in (-1, 1); 0 for a zero row."""
-    return np.frexp(_sup(x))[1]
-
-
 def unit_scaled(grid: PartialSumGrid) -> PartialSumGrid:
-    """The grid of each series times the exact power of two 2**-e, which both
-    ratios are invariant to: no sum of it overflows, and tiny data keep their bits."""
+    """The grid of each series times the exact power of two 2**-e, in whose
+    units all four tests decide: no sum of it overflows, and tiny data keep their bits."""
     return PartialSumGrid(grid.cfg, np.ldexp(grid.x, -_exponent(grid.x)[..., None]))
 
 
@@ -261,65 +250,57 @@ def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> Te
     return _decide(params.rule, x, cfg, params.alpha, null)
 
 
-def _bandwidth(n: int) -> int:
-    return max(1, int(n ** (1.0 / 3.0) + 1e-9))
+def cusum_lrv(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CUSUM statistic and long-run variance estimate sigma2 along the last
+    axis of ``unit_scaled`` series, in the units of ``u``; sigma2 = 0 makes
+    the test degenerate.
 
-
-def _lrv(x: np.ndarray, m: int) -> np.ndarray:
-    """``lrv_estimate`` with bandwidth ``m`` along the last axis."""
-    n = x.shape[-1]
-    # summing x[i+j] - x[i+m+j] keeps constant series at exactly zero
-    csum = np.zeros(x.shape[:-1] + (n - m + 1,))
-    np.cumsum(x[..., : n - m] - x[..., m:], axis=-1, out=csum[..., 1:])
+    The estimate averages the squared difference of adjacent length-m window
+    sums over all start positions, scaled by 1/(2m), with m = floor(n**(1/3)).
+    """
+    n = u.shape[-1]
+    m = max(1, int(n ** (1.0 / 3.0) + 1e-9))
+    # one buffer holds both cumulative sums, so that large n touches fewer fresh pages
+    csum = np.empty(u.shape[:-1] + (n + 1,))
+    csum[..., 0] = 0.0
+    # summing u[i+j] - u[i+m+j] keeps constant series at exactly zero
+    steps = np.subtract(u[..., : n - m], u[..., m:], out=csum[..., 1 : n - m + 1])
+    np.cumsum(steps, axis=-1, out=steps)
     windows = csum[..., m : n - m + 1] - csum[..., : n - 2 * m + 1]
-    return np.mean(windows**2, axis=-1) / (2 * m)
+    windows *= windows
+    sigma2 = np.mean(windows, axis=-1) / (2 * m)
+    sums = np.cumsum(u, axis=-1, out=csum[..., 1:])
+    sums -= np.arange(1, n + 1) / n * sums[..., -1:]
+    return _sup(sums) / math.sqrt(n), sigma2
 
 
-def lrv_estimate(x, bandwidth: int | None = None) -> float:
-    """Difference-based global long-run variance estimate.
-
-    Averages the squared difference of adjacent length-``bandwidth`` window
-    sums over all start positions, scaled by 1/(2*bandwidth); the default
-    bandwidth is floor(n**(1/3)).
-    """
+def lrv_estimate(x) -> float:
+    """Difference-based global long-run variance estimate of ``cusum_lrv``,
+    taken of the series times 2**-e and scaled back by 4**e."""
     x = as_series(x)
-    n = x.size
-    m = bandwidth if bandwidth is not None else _bandwidth(n)
-    if m < 1:
-        raise ValueError(f"bandwidth must be >= 1, got {m}")
-    if n < 2 * m:
-        raise ValueError(f"need n >= 2*bandwidth, got n={n}, bandwidth={m}")
-    return float(_lrv(x, m))
-
-
-def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CUSUM statistic, long-run variance estimate sigma2 and sigma along the
-    last axis of validated series; sigma2 = 0 makes the test degenerate.
-
-    The estimate squares window sums, which overflow for large data, so it is
-    taken of the series times the exact power of two 2**-e and sigma scaled
-    back by 2**e.
-    """
-    n = x.shape[-1]
-    csum = np.cumsum(x, axis=-1)
-    statistic = _sup(csum - np.arange(1, n + 1) / n * csum[..., -1:]) / math.sqrt(n)
-    exponent = _exponent(x)
-    sigma2 = _lrv(np.ldexp(x, -exponent[..., None]), _bandwidth(n))
-    return statistic, sigma2, np.ldexp(np.sqrt(sigma2), exponent)
+    e = int(_exponent(x))
+    return float(np.ldexp(cusum_lrv(np.ldexp(x, -e))[1], 2 * e))
 
 
 def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
-    """Classical CUSUM test scaled by the estimated long-run variance."""
+    """Classical CUSUM test scaled by the estimated long-run variance.
+
+    The test is decided on the series times 2**-e; the statistic and the
+    threshold are scaled back by 2**e.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    statistic, sigma2, sigma = map(float, cusum_lrv(as_series(x)))
+    x = as_series(x)
+    e = int(_exponent(x))
+    statistic, sigma2 = map(float, cusum_lrv(np.ldexp(x, -e)))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
+    sigma = math.sqrt(sigma2)
     q = nulldist.kolmogorov_quantile(1.0 - alpha)
     return TestOutcome(
         method=METHOD_LRV,
-        statistic=statistic,
-        threshold=sigma * q,
+        statistic=float(np.ldexp(statistic, e)),
+        threshold=float(np.ldexp(sigma * q, e)),
         quantile=q,
         p_value=1.0 - nulldist.kolmogorov_cdf(statistic / sigma),
         reject=statistic > sigma * q,

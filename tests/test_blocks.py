@@ -212,10 +212,12 @@ def test_grid_margins_and_coarse_value():
 
 def test_scale_equivariance_power_of_two_is_exact():
     rng = np.random.default_rng(6)
-    x = rng.standard_normal(40)
+    # the mean 1 drives sums past 16, beyond the float range at 2**1020
+    x = rng.standard_normal(40) + 1.0
     cfg = make_block_config(40, 4)
     for t, s in [(0.3, 0.9), (0.75, 0.4), (1.0, 1.0)]:
-        assert partial_sum(4.0 * x, cfg, t, s) == 4.0 * partial_sum(x, cfg, t, s)
+        for c in (4.0, 2.0**1020):
+            assert partial_sum(c * x, cfg, t, s) == c * partial_sum(x, cfg, t, s)
 
 
 @settings(max_examples=40, deadline=None)

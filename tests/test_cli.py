@@ -96,20 +96,29 @@ def test_cmd_test_lrv_needs_no_cache(capsys, gauss_csv):
     assert json.loads(out)["method"] == "r_lrv"
 
 
-def test_cmd_test_lrv_finite_at_extreme_scale(capsys, tmp_path):
-    # window sums of 1e200-scale data overflow when squared; the output must
-    # stay strict JSON and the scale-invariant decision must not change
+def test_cmd_test_lrv_finite_at_extreme_scale(tmp_path):
+    # window sums of 1e200-scale data overflow when squared, and partial sums
+    # of data near 2**1023 overflow; the output must stay strict JSON and the
+    # scale-invariant decision must not change.  Each run is a child with a
+    # timeout, so that a stalled run fails instead of hanging the suite.
     x = np.random.default_rng(3).standard_normal(400)
     x[200:] += 1.0
+    x /= np.abs(x).max()  # max|x| = 1 exactly, so the last series has max 2**1023
+    src = Path(__file__).resolve().parents[1] / "src"
     results = []
-    for scale in (1.0, 1e200):
-        path = tmp_path / f"scaled{scale:g}.csv"
-        write_series(path, scale * x)
-        code, out, _ = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv"])
-        assert code == 0
-        results.append(json.loads(out, parse_constant=lambda c: pytest.fail(f"emitted {c}")))
-    assert math.isfinite(results[1]["threshold"])
-    assert results[1]["reject"] == results[0]["reject"] is True
+    for i, series in enumerate((x, 1e200 * x, np.ldexp(x, 1023))):
+        path = tmp_path / f"scaled{i}.csv"
+        write_series(path, series)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sncusum.cli", "test", "--input", str(path), "--method", "lrv"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout, parse_constant=lambda c: pytest.fail(f"emitted {c}")))
+    for result in results[1:]:
+        assert math.isfinite(result["statistic"]) and math.isfinite(result["threshold"])
+        assert result["reject"] == results[0]["reject"] is True
+    assert results[2]["p_value"] == results[0]["p_value"]
 
 
 def test_cmd_test_sn_rules_finite_at_extreme_scale(capsys, cache_dir, tmp_path):

@@ -3,6 +3,9 @@ import hashlib
 import math
 import operator
 import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -284,6 +287,15 @@ def test_kolmogorov_cdf_bounds():
     assert all(0.0 <= v <= 1.0 for v in vals)
     # monotone up to the 1e-12 truncation accuracy of the series
     assert all(b >= a - 1e-11 for a, b in zip(vals, vals[1:]))
+
+
+def test_kolmogorov_cdf_refuses_nan():
+    # the series never stops at NaN, so the call runs in a child with a timeout
+    probe = "from sncusum.nulldist import kolmogorov_cdf; kolmogorov_cdf(float('nan'))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert "ValueError: kolmogorov_cdf: x is NaN" in proc.stderr
 
 
 def test_kolmogorov_cdf_against_scipy():

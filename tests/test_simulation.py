@@ -197,6 +197,16 @@ def test_run_scenario_counts(nulls):
         assert res.rates[name] == res.rejections[name] / 40
 
 
+def test_run_scenario_counts_are_scale_free(nulls):
+    # under the zero-mean null every series at c_sigma = 2**1019 is the series
+    # at c_sigma = 1 times an exact power of two, so no test may count differently
+    results = [run_scenario(Scenario(mean_id=0, sigma_id=0, c_sigma=c, error_model="iid",
+                                     n=500, replications=200, seed=11), nulls=nulls)
+               for c in (1.0, 2.0**1019)]
+    assert results[0].rejections == results[1].rejections
+    assert results[0].degenerate == results[1].degenerate
+
+
 def test_run_scenario_detects_step_change(nulls):
     sc = Scenario(mean_id=3, sigma_id=0, c_sigma=0.25, error_model="iid",
                   n=500, replications=30, seed=3)

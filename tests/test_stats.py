@@ -211,19 +211,20 @@ def test_stacked_statistics_equal_the_single_series_calls():
     cfg = make_block_config(250)
     assert cfg.n % cfg.block_length
     grid = stats.unit_scaled(PartialSumGrid(cfg, x))
+    # first, so that the rules below would see any row it overwrote
+    statistic, sigma2 = stats.cusum_lrv(grid.x)
+    q = nulldist.kolmogorov_quantile(0.95)
+    for row, value, variance, e in zip(x[:-1], statistic, sigma2, stats._exponent(x)):
+        single = stats.cusum_lrv_test(row, 0.05)
+        assert np.ldexp(value, e).hex() == single.statistic.hex()
+        assert np.ldexp(np.sqrt(variance) * q, e).hex() == single.threshold.hex()
+    assert sigma2[-1] == 0.0
     for rule in stats.RULES.values():
         numerator, denominator = rule.ratio(grid)
         for row, top, bottom in zip(x[:-1], numerator, denominator):
             single = rule.statistic(PartialSumGrid.compute(row, cfg))
             assert (top / bottom).hex() == single.hex(), rule.test_id
         assert numerator[-1] == denominator[-1] == 0.0
-    statistic, sigma2, sigma = stats.cusum_lrv(x)
-    q = nulldist.kolmogorov_quantile(0.95)
-    for row, value, scale in zip(x[:-1], statistic, sigma):
-        single = stats.cusum_lrv_test(row, 0.05)
-        assert value.hex() == single.statistic.hex()
-        assert (scale * q).hex() == single.threshold.hex()
-    assert sigma2[-1] == 0.0
 
 
 def test_full_statistic_matches_oracle():
@@ -405,6 +406,8 @@ def test_lrv_estimate_constant_series_is_zero():
 def test_lrv_estimate_iid_unit_variance():
     z = np.random.default_rng(16).standard_normal(100_000)
     assert stats.lrv_estimate(z) == pytest.approx(1.0, abs=0.1)
+    # squared window sums of data near 2**508 overflow unless pre-scaled
+    assert stats.lrv_estimate(z * 2.0**508) == math.ldexp(stats.lrv_estimate(z), 1016)
 
 
 def test_lrv_estimate_ar_long_run_variance():
@@ -415,15 +418,9 @@ def test_lrv_estimate_ar_long_run_variance():
     assert stats.lrv_estimate(x) == pytest.approx(3.0, abs=0.3)
 
 
-def test_lrv_estimate_bandwidth_validation():
-    with pytest.raises(ValueError):
-        stats.lrv_estimate(np.arange(10.0), bandwidth=6)
-    with pytest.raises(ValueError):
-        stats.lrv_estimate(np.arange(10.0), bandwidth=0)
-
-
 def test_lrv_estimate_matches_direct_sum():
-    # literal loop over the defining window differences
+    # literal loop over the defining window differences, at the bandwidth
+    # floor(200**(1/3)) = 5
     x = np.random.default_rng(18).standard_normal(200)
     n, m = 200, 5
     acc = 0.0
@@ -431,7 +428,7 @@ def test_lrv_estimate_matches_direct_sum():
         lead = sum(x[i + j] for j in range(m))
         lag = sum(x[i + j] for j in range(m, 2 * m))
         acc += (lead - lag) ** 2 / (2 * m)
-    assert stats.lrv_estimate(x, bandwidth=m) == pytest.approx(acc / (n - 2 * m + 1))
+    assert stats.lrv_estimate(x) == pytest.approx(acc / (n - 2 * m + 1))
 
 
 def test_cusum_lrv_constant_degenerate():
