@@ -123,16 +123,28 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name}={value} not in [0, 1]")
 
 
-def _row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
+def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int = 0, hi: int | None = None,
+         carry: np.ndarray | None = None) -> np.ndarray:
     """Process over the s-grid from the observations of time rank <= ``m``,
     along the last axis of ``x`` (one series or a stack of them).
 
-    Returns an array ``row`` whose last axis has length n+1, with
-    ``row[..., j]`` the process value at s = j/n.
+    Returns an array ``row`` with ``row[..., j - lo]`` the process value at
+    s = j/n for the grid columns lo <= j < hi (by default all n+1).  A block
+    of columns that starts past column 0 continues the prefix sum from
+    ``carry`` (shape ``x.shape[:-1] + (1,)``), the sum through column lo-1;
+    a given ``carry`` is left holding the sum through column hi-1.  So
+    consecutive blocks add in the order of one full row, and give its bits.
     """
-    row = np.empty(x.shape[:-1] + (cfg.n + 1,))
-    row[..., 0] = 0.0
-    np.cumsum(np.where(_time_rank(cfg) <= m, x, 0.0), axis=-1, out=row[..., 1:])
+    hi = cfg.n + 1 if hi is None else hi
+    row = np.zeros(x.shape[:-1] + (hi - lo,))
+    sums = row[..., 1:] if lo == 0 else row
+    cols = slice(max(lo, 1) - 1, hi - 1)
+    np.copyto(sums, x[..., cols], where=_time_rank(cfg)[cols] <= m)
+    if lo:
+        sums[..., :1] += carry
+    np.cumsum(sums, axis=-1, out=sums)
+    if carry is not None:
+        carry[...] = sums[..., -1:]
     row /= cfg.n
     return row
 
@@ -162,8 +174,10 @@ class PartialSumGrid:
     ``x`` is one series, or a stack of series along its leading axes whose
     rows are each read as that series alone; every method works along the
     last axis.  ``row(k)`` is the process at t = k*n_blocks/n over the s-grid
-    {j/n}.  Each row costs one O(n) cumulative sum; no lattice of all knots
-    is built.
+    {j/n}, one O(n) prefix sum; no lattice of all knots is built.  A row can
+    also be read one block of columns at a time, with its prefix sum carried
+    from block to block (see ``_row``), which is how the full rules read
+    three rows in one cache-sized pass.
     """
 
     def __init__(self, cfg: BlockConfig, x: np.ndarray):
@@ -174,9 +188,11 @@ class PartialSumGrid:
     def compute(cls, x, cfg: BlockConfig) -> "PartialSumGrid":
         return cls(cfg, as_series(x, cfg))
 
-    def row(self, k: int) -> np.ndarray:
-        """Process at coarse knot ``k`` over the s-grid, length n+1."""
-        return _row(self.x, self.cfg, k * self.cfg.n_blocks)
+    def row(self, k: int, lo: int = 0, hi: int | None = None,
+            carry: np.ndarray | None = None) -> np.ndarray:
+        """Process at coarse knot ``k`` over the s-grid: all n+1 columns, or
+        the columns lo..hi-1 continuing the prefix sum ``carry`` (``_row``)."""
+        return _row(self.x, self.cfg, k * self.cfg.n_blocks, lo, hi, carry)
 
     def knot_margins(self) -> np.ndarray:
         """Coarsened process at s=1 for every knot (the time marginal)."""

@@ -11,7 +11,8 @@ class DegenerateStatisticError(ArithmeticError):
 
 
 class ConfigurationError(ValueError):
-    """Raised when block/knot geometry cannot support the requested test."""
+    """Raised when block/knot geometry cannot support the requested test, or
+    when a test's reported statistic would exceed the float range."""
 
 
 class CacheFormatError(ValueError):

@@ -10,6 +10,7 @@ count or scheduling.
 from collections import Counter
 import csv
 from dataclasses import dataclass, field
+from functools import lru_cache
 import itertools
 import math
 
@@ -203,6 +204,18 @@ class ScenarioResult:
         self.rates = {name: count / reps for name, count in self.rejections.items()}
 
 
+@lru_cache(maxsize=8)
+def _profile(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and the scale ``c_sigma * sigma`` of a cell on the time grid
+    {i/n}, which every replication shares; cached and read-only."""
+    grid = np.arange(1, scenario.n + 1) / scenario.n
+    mean = mean_value(scenario.mean_id, grid)
+    scale = scenario.c_sigma * sigma_value(scenario.sigma_id, grid)
+    mean.setflags(write=False)
+    scale.setflags(write=False)
+    return mean, scale
+
+
 def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
     """Generate the series of one replication from its keyed stream.
 
@@ -212,11 +225,8 @@ def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
     """
     seed = [scenario.seed, replication] if stream is None else stream
     eps = gen_errors(scenario.error_model, scenario.n, seed)
-    grid = np.arange(1, scenario.n + 1) / scenario.n
-    return (
-        mean_value(scenario.mean_id, grid)
-        + scenario.c_sigma * sigma_value(scenario.sigma_id, grid) * eps
-    )
+    mean, scale = _profile(scenario)
+    return mean + scale * eps
 
 
 def _tally(x: np.ndarray, cfg, tests, thresholds: dict, alpha: float,

@@ -116,19 +116,29 @@ class TestOutcome:
     reject: bool
 
 
-def _bridge_area(values: np.ndarray, n: int) -> np.ndarray:
+def _bridge_area(values: np.ndarray, n: int, lo: int = 0,
+                 carry: np.ndarray | None = None) -> np.ndarray:
     """Integrated deviation of a grid function from its chord through 0,
     along the last axis.
 
-    For a function f on the grid {j/n}, returns at each s = j/n the Riemann
-    sum over x in {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.
+    For a function f on the grid {j/n} with f(0) = 0, returns at each s = j/n
+    the Riemann sum over x in {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.
+    ``values`` holds f at the grid columns lo, lo+1, ... (by default all of
+    them); past column 0 the running sum of f continues from ``carry`` as in
+    ``blocks._row``.
     """
-    weights = (np.arange(values.shape[-1]) + 1) / 2.0
-    out = np.cumsum(values, axis=-1)
-    out -= values[..., :1]
+    out = values.copy()
+    if lo:
+        out[..., :1] += carry
+    np.cumsum(out, axis=-1, out=out)
+    if carry is not None:
+        carry[...] = out[..., -1:]
+    weights = np.arange(lo + 1, lo + 1 + values.shape[-1], dtype=float)
+    weights /= 2.0
     out -= values * weights
     out /= n
-    out[..., 0] = 0.0
+    if not lo:
+        out[..., 0] = 0.0
     return out
 
 
@@ -166,11 +176,31 @@ def _simple_ratio(grid: PartialSumGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def _full_ratio(grid: PartialSumGrid, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
     """Full ratio's numerator and self-normalizer from the process rows at
-    knots k0, k1 and last, along the last axis of a unit-scaled grid."""
-    k0, k1, last = _knot_indices(grid.cfg, t0, t1)
-    early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
-    contrast = contrast_values(early, mid, late, (k1 - k0) / (last - k0))
-    return _sup(numerator_values(early)), _sup(_bridge_area(contrast, grid.cfg.n))
+    knots k0, k1 and last, along the last axis of a unit-scaled grid.
+
+    One pass over blocks of columns, as many per block as fit
+    ``nulldist._BLOCK_BYTES`` for the whole stack: each block reads the three
+    rows, the contrast and both bridge areas, and carries their five prefix
+    sums on to the next block; each supremum is the largest block supremum.
+    Every value has the bits of the full-length rows, but no length-n
+    temporary is built.
+    """
+    cfg, x = grid.cfg, grid.x
+    k0, k1, last = _knot_indices(cfg, t0, t1)
+    ratio = (k1 - k0) / (last - k0)
+    width = max(1, nulldist._BLOCK_BYTES // (8 * (x.size // cfg.n)))
+    # grid columns: the first block also holds column 0, so that a stack of
+    # at most ``width`` data columns is one block
+    bounds = [0, *range(width + 1, cfg.n + 1, width), cfg.n + 1]
+    carries = np.zeros((5,) + x.shape[:-1] + (1,))
+    numerator = denominator = 0.0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        early = grid.row(k0, lo, hi, carries[0])
+        numerator = np.maximum(numerator, _sup(numerator_values(early, cfg.n, lo, carries[3])))
+        contrast = contrast_values(early, grid.row(k1, lo, hi, carries[1]),
+                                   grid.row(last, lo, hi, carries[2]), ratio, cfg.n)
+        denominator = np.maximum(denominator, _sup(_bridge_area(contrast, cfg.n, lo, carries[4])))
+    return numerator, denominator
 
 
 def _quotient(numerator, denominator, what: str) -> float:
@@ -189,24 +219,26 @@ def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> floa
     return _quotient(*_full_ratio(unit_scaled(grid), t0, t1), "constant")
 
 
-def numerator_values(early: np.ndarray) -> np.ndarray:
-    """Numerator process of the full rule on the s-grid, from the row at knot k0."""
-    n = early.shape[-1] - 1
-    out = _bridge_area(early, n)
+def numerator_values(early: np.ndarray, n: int, lo: int = 0,
+                     carry: np.ndarray | None = None) -> np.ndarray:
+    """Numerator process of the full rule on the s-grid, from the row at knot
+    k0 (its columns lo.., with ``carry`` as in ``_bridge_area``)."""
+    out = _bridge_area(early, n, lo, carry)
     out *= math.sqrt(n)
     return out
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
-                    ratio: float) -> np.ndarray:
+                    ratio: float, n: int) -> np.ndarray:
     """Between-knot contrast on the s-grid, from the rows at knots k0, k1 and
     last: the slice increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0)
-    times the increment from k0 to the last knot."""
+    times the increment from k0 to the last knot.  Columnwise, so it takes any
+    block of columns of the three rows."""
     out = mid - early
     step = late - early
     step *= ratio
     out -= step
-    out *= math.sqrt(early.shape[-1] - 1)
+    out *= math.sqrt(n)
     return out
 
 
@@ -286,7 +318,8 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     """Classical CUSUM test scaled by the estimated long-run variance.
 
     The test is decided on the series times 2**-e; the statistic and the
-    threshold are scaled back by 2**e.
+    threshold are scaled back by 2**e.  Raises ConfigurationError when either
+    of them, scaled back, exceeds the float range (data near 2**1023).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
@@ -297,10 +330,17 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
         raise DegenerateStatisticError("long-run variance estimate is zero")
     sigma = math.sqrt(sigma2)
     q = nulldist.kolmogorov_quantile(1.0 - alpha)
+    try:
+        statistic_x, threshold_x = math.ldexp(statistic, e), math.ldexp(sigma * q, e)
+    except OverflowError:
+        raise ConfigurationError(
+            "the LRV-CUSUM statistic or threshold exceeds the float range in the "
+            "units of the data; rescale the series"
+        ) from None
     return TestOutcome(
         method=METHOD_LRV,
-        statistic=float(np.ldexp(statistic, e)),
-        threshold=float(np.ldexp(sigma * q, e)),
+        statistic=statistic_x,
+        threshold=threshold_x,
         quantile=q,
         p_value=1.0 - nulldist.kolmogorov_cdf(statistic / sigma),
         reject=statistic > sigma * q,

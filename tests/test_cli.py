@@ -121,6 +121,23 @@ def test_cmd_test_lrv_finite_at_extreme_scale(tmp_path):
     assert results[2]["p_value"] == results[0]["p_value"]
 
 
+def test_cmd_test_lrv_refuses_a_statistic_beyond_the_float_range(tmp_path):
+    # a trend from -2**1023 to 2**1023: the test is decided in the scaled
+    # units, but its CUSUM statistic in data units exceeds the float range
+    path = tmp_path / "trend.csv"
+    write_series(path, np.ldexp(np.linspace(-1.0, 1.0, 500), 1023))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sncusum.cli", "test", "--input", str(path),
+         "--method", "lrv"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_USAGE == 1
+    assert proc.stdout == ""
+    assert "exceeds the float range" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cmd_test_sn_rules_finite_at_extreme_scale(capsys, cache_dir, tmp_path):
     # 1e307-scale sums overflow unless the statistics pre-scale the data
     x = np.random.default_rng(3).standard_normal(500)

@@ -133,6 +133,20 @@ def test_series_from_a_keyed_stream_is_the_series_of_its_replication():
             assert gen_series(sc, rep, stream).tobytes() == gen_series(sc, rep).tobytes()
 
 
+def test_series_reads_the_cell_profile_once():
+    # the cached mean and c_sigma * sigma give the bits of the literal formula
+    grid = np.arange(1, 71) / 70
+    for mean_id, sigma_id, c_sigma in ((1, 2, 0.7), (5, 3, 2.0**-30), (6, 1, 3.0)):
+        sc = Scenario(mean_id=mean_id, sigma_id=sigma_id, c_sigma=c_sigma,
+                      error_model="ar", n=70, replications=4, seed=11)
+        for rep in range(4):
+            eps = gen_errors("ar", 70, [11, rep])
+            literal = mean_value(mean_id, grid) + c_sigma * sigma_value(sigma_id, grid) * eps
+            assert gen_series(sc, rep).tobytes() == literal.tobytes()
+        mean, scale = simulation._profile(sc)
+        assert not mean.flags.writeable and not scale.flags.writeable
+
+
 def test_scenario_validation():
     good = dict(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                 n=100, replications=10)

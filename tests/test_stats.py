@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, _time_rank, knot_of, make_block_config
+from sncusum.blocks import PartialSumGrid, _sup, _time_rank, knot_of, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -24,11 +24,11 @@ def contrast_rows(x, cfg, t0, t1):
 
 
 def numerator(x, cfg, t0):
-    return stats.numerator_values(PartialSumGrid.compute(x, cfg).row(knot_of(cfg, t0)))
+    return stats.numerator_values(PartialSumGrid.compute(x, cfg).row(knot_of(cfg, t0)), cfg.n)
 
 
 def contrast(x, cfg, t0, t1):
-    return stats.contrast_values(*contrast_rows(x, cfg, t0, t1))
+    return stats.contrast_values(*contrast_rows(x, cfg, t0, t1), cfg.n)
 
 
 def denominator(x, cfg, t0, t1):
@@ -184,16 +184,71 @@ def test_sn_statistics_exact_at_any_finite_scale(power):
 
 
 def test_full_statistic_memory_is_linear():
-    # a few length-n rows; a (n_knots+1) x n lattice at n=1e5 needs ~175 MB
-    x = np.random.default_rng(1).standard_normal(100_000)
-    cfg = make_block_config(100_000)
-    tracemalloc.start()
-    try:
-        stats.full_statistic(x, cfg, 1 / 3, 1 / 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # the scaled copy of the series (8n bytes) plus one block of columns per
+    # temporary, ~1.5 MiB at any n; a (n_knots+1) x n lattice at n=1e5 needs ~175 MB
+    for n in (100_000, 200_000):
+        x = np.random.default_rng(1).standard_normal(n)
+        cfg = make_block_config(n)
+        _time_rank(cfg)  # cached, so not counted
+        tracemalloc.start()
+        try:
+            stats.full_statistic(x, cfg, 1 / 3, 1 / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 2 * 2**20, n
+
+
+def full_length_ratio(grid, t0, t1):
+    """The full ratio from whole rows: grid.row, contrast_values and
+    _bridge_area over all n+1 columns at once."""
+    cfg = grid.cfg
+    k0, k1, last = stats._knot_indices(cfg, t0, t1)
+    early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
+    contrast = stats.contrast_values(early, mid, late, (k1 - k0) / (last - k0), cfg.n)
+    return (_sup(stats.numerator_values(early, cfg.n)),
+            _sup(stats._bridge_area(contrast, cfg.n)))
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def boundary_series(rows, n):
+    """One series (rows = 1), or a stack of seven: plain rows, rows scaled by
+    2**1000 and 2**-1000, a zero row and a row with -0.0 at every fifth column."""
+    rng = np.random.default_rng([rows, n])
+    plain = rng.standard_normal((3, n)) + np.array([[0.0], [0.4], [-1.0]])
+    if rows == 1:
+        return plain[1]
+    signed_zeros = np.where(np.arange(n) % 5, plain[2], -0.0)
+    return np.vstack([plain, np.ldexp(plain[:1], 1000), np.ldexp(plain[1:2], -1000),
+                      np.zeros((1, n)), signed_zeros])
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (3, 17)])
+def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
+    # n at a block width (_BLOCK_BYTES of the whole stack) and one column off
+    # it, and n over four blocks, the last a remainder
+    n = blocks * (nulldist._BLOCK_BYTES // (8 * rows)) + extra
+    x = boundary_series(rows, n)
+    grid = stats.unit_scaled(PartialSumGrid(make_block_config(n), x))
+    for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
+        blocked, whole = rule.ratio(grid), full_length_ratio(grid, *rule.splits)
+        assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
+        assert hexes(blocked[1]) == hexes(whole[1]), rule.test_id
+        if rows > 1:
+            assert blocked[0][5] == blocked[1][5] == 0.0
+
+
+def test_full_statistic_bits_at_n_200000():
+    # pinned from full-length rows and bridge areas, before the blocked pass
+    x = np.random.default_rng(2026).standard_normal(200_000)
+    x[100_000:] += 0.01
+    cfg = make_block_config(200_000)
+    assert stats.full_statistic(x, cfg, 1 / 3, 1 / 2).hex() == "0x1.ea29bbc289600p+0"
+    assert stats.full_statistic(x, cfg, 1 / 3, 2 / 3).hex() == "0x1.1f9681529de11p+0"
 
 
 def stack_rows():
