@@ -151,7 +151,6 @@ def cmd_test(args) -> int:
 
 def cmd_nulldist(args) -> int:
     out = Path(args.out)
-    workers = nulldist.usable_cpus() if args.workers is None else args.workers
     summary = {}
     for kind, seed in nulldist.kind_seeds(args.seed).items():  # checks both seeds first
         sample = nulldist.simulate_null(
@@ -159,7 +158,7 @@ def cmd_nulldist(args) -> int:
             grid_steps=args.steps,
             replications=args.reps,
             seed=seed,
-            workers=workers,
+            workers=args.workers,
         )
         out.mkdir(parents=True, exist_ok=True)  # not before: a bad setting leaves no directory
         path = out / f"{kind}.snq"

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -96,18 +97,40 @@ def plan_chunks(total: int, workers: int, min_chunk: int) -> list[int]:
     return list(range(0, total, chunk)) + [total]
 
 
+def default_workers() -> int:
+    """The worker count when a caller names none: the usable CPUs where pools
+    fork (POSIX), else 1; and 1 inside a worker process, so that a caller's
+    workers do not each start a pool of their own.  A forked worker does not
+    re-import ``__main__``, so this default needs no ``if __name__ ==
+    "__main__"`` guard in the calling script."""
+    # Every worker process has imported multiprocessing, so a process that
+    # has not is no worker; this spares the cold `nulldist` path its import.
+    mp = sys.modules.get("multiprocessing")
+    if os.name != "posix" or (mp is not None and mp.parent_process() is not None):
+        return 1
+    return usable_cpus()
+
+
 def map_chunks(fn, tasks, workers: int) -> list:
     """``[fn(*task) for task in tasks]`` (a list) through one process pool of
     min(workers, usable CPUs, number of tasks) processes, or in this process
-    when that is 1.  Results keep the order of ``tasks``."""
+    when that is 1 or when this process is daemonic (a ``multiprocessing.Pool``
+    worker, which may not start children).  Results keep the order of
+    ``tasks``.  On POSIX the workers fork, whatever the platform's default
+    start method: they inherit the modules loaded here (such as scipy.signal)
+    and never re-import ``__main__``."""
     size = min(workers, usable_cpus(), len(tasks))
-    if size <= 1:
-        return [fn(*task) for task in tasks]
-    # Imported here: `sn-cusum test` never builds a pool.
-    from concurrent.futures import ProcessPoolExecutor
+    if size > 1:
+        # Imported here: `sn-cusum test` never builds a pool.
+        import multiprocessing
 
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+        if not multiprocessing.current_process().daemon:
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork") if os.name == "posix" else None
+            with ProcessPoolExecutor(max_workers=size, mp_context=context) as pool:
+                return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
 
 
 def block_rows(row_bytes: int) -> int:
@@ -241,12 +264,14 @@ def simulate_null(
     grid_steps: int = 1000,
     replications: int = 100_000,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> NullSample:
     """Simulate the null distribution of a pivotal ratio.
 
-    Deterministic given (kind, grid_steps, replications, seed); the worker
-    count only affects wall-clock time.
+    Deterministic given (kind, grid_steps, replications, seed): each
+    replication draws from its own keyed stream, so the draws are
+    byte-identical at any worker count.  ``workers=None`` is
+    ``default_workers()``, the same default as ``sn-cusum nulldist``.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -256,6 +281,7 @@ def simulate_null(
         raise ValueError(f"replications must be in 1000..{MAX_REPLICATIONS}, got {replications}")
     _check_seed(seed)
 
+    workers = default_workers() if workers is None else workers
     bounds = plan_chunks(replications, workers, min_chunk=1000)
     tasks = [(kind, grid_steps, seed, start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
     draws = np.concatenate(map_chunks(_simulate_chunk, tasks, workers))

@@ -26,6 +26,11 @@ from sncusum.nulldist import NullSample, block_rows, map_chunks, plan_chunks
 ERROR_MODELS = ("iid", "ma", "ar")
 ALL_TESTS = stats.ALL_TESTS
 
+# Replications per range at least: a range pays ~150 us to derive its keyed
+# streams, which at 16 replications is half of what default_rng([seed, rep])
+# would take to seed them one by one (break-even is ~10-12 on 2 vCPUs).
+_MIN_RANGE = 16
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -318,7 +323,7 @@ def run_grid(
     for index, scenario in enumerate(scenarios):
         thresholds = {rule.test_id: rule.threshold(nulls[rule.kind], scenario.alpha)[1]
                       for rule in rules}
-        bounds = plan_chunks(scenario.replications, workers, min_chunk=1)
+        bounds = plan_chunks(scenario.replications, workers, min_chunk=_MIN_RANGE)
         for start, stop in zip(bounds[:-1], bounds[1:]):
             tasks.append((scenario, tests, thresholds, start, stop))
             owners.append(index)

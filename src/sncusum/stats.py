@@ -301,8 +301,9 @@ def cusum_lrv(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     windows = csum[..., m : n - m + 1] - csum[..., : n - 2 * m + 1]
     windows *= windows
     sigma2 = np.mean(windows, axis=-1) / (2 * m)
+    del windows
     sums = np.cumsum(u, axis=-1, out=csum[..., 1:])
-    sums -= np.arange(1, n + 1) / n * sums[..., -1:]
+    sums -= np.arange(1.0, n + 1) / n * sums[..., -1:]
     return _sup(sums) / math.sqrt(n), sigma2
 
 

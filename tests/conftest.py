@@ -56,7 +56,7 @@ def fake_pools(monkeypatch):
     built = []
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor",
-        lambda max_workers: FakePool(built, max_workers),
+        lambda max_workers, mp_context=None: FakePool(built, max_workers),
     )
     return built
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -374,6 +375,18 @@ def test_simulate_rerun_byte_identical(capsys, cache_dir, tmp_path):
     assert (outs[0] / "aggregate_errors.csv").exists()
     agg = (outs[0] / "aggregate_errors.csv").read_text().splitlines()
     assert agg[1] == "n,errors,replications,r_lrv,sn_full_v2,degenerate"
+
+
+def test_simulate_ranges_keep_the_bytes(capsys, cache_dir, tmp_path):
+    # 20 replications a cell are one or two ranges, however many workers run
+    # them; sha256 recorded when every range could be a single replication
+    digest = "17b0e3d0d26c5df27d344d7b67621a074558158bc267be641ddc0acea4e45a7b"
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        argv = ["simulate", "--grid", "mu=0,3;eps=iid,ar;n=100", "--reps", "20", "--seed", "4",
+                "--workers", workers, "--null-cache", str(cache_dir), "--out", str(out)]
+        assert run_cli(capsys, argv)[0] == 0
+        assert hashlib.sha256((out / "cells.csv").read_bytes()).hexdigest() == digest
 
 
 def test_simulate_bad_grid_spec(capsys, cache_dir, tmp_path):

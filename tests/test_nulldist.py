@@ -1,6 +1,8 @@
+import concurrent.futures
 from fractions import Fraction
 import hashlib
 import math
+import multiprocessing
 import operator
 import os
 from pathlib import Path
@@ -138,9 +140,64 @@ def test_replications_are_the_number_of_draws():
 
 
 def test_simulation_deterministic_across_workers():
-    one = simulate_null(SIMPLE_RATIO, 200, 2000, seed=7, workers=1)
-    many = simulate_null(SIMPLE_RATIO, 200, 2000, seed=7, workers=3)
-    assert np.array_equal(one.draws, many.draws)
+    # None, the default, is the usable CPUs
+    for kind in (SIMPLE_RATIO, FULL_RATIO):
+        one = simulate_null(kind, 200, 3000, seed=7, workers=1).draws.tobytes()
+        for workers in (None, 3):
+            assert simulate_null(kind, 200, 3000, seed=7, workers=workers).draws.tobytes() == one
+
+
+def test_simulate_null_in_a_daemonic_worker_draws_in_process(usable_cpus):
+    # a multiprocessing.Pool worker may not start a pool of its own, though
+    # the mask of three CPUs it inherits would give it one of three
+    usable_cpus(3)
+    serial = simulate_null(FULL_RATIO, 100, 2000, workers=1).draws.tobytes()
+    with multiprocessing.get_context("fork").Pool(1) as workers:
+        for args in ((FULL_RATIO, 100, 2000), (FULL_RATIO, 100, 2000, 0, 2)):
+            sample = workers.apply_async(simulate_null, args).get(timeout=120)
+            assert sample.draws.tobytes() == serial
+
+
+def test_default_workers_are_one_inside_a_worker_process(monkeypatch, usable_cpus):
+    # the default of a caller's workers is 1, so that N of them do not each
+    # start a pool of every CPU
+    usable_cpus(3)
+    assert nulldist.default_workers() == 3
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert pool.submit(nulldist.default_workers).result(timeout=120) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "name", "nt")  # no fork: a pool would re-import __main__
+        workers = nulldist.default_workers()
+    assert workers == 1
+
+
+UNGUARDED_SCRIPT = """
+import hashlib, multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1], force=True)
+from sncusum import nulldist
+nulldist.usable_cpus = lambda: 2  # a pool on any host
+draws = nulldist.simulate_null(nulldist.FULL_RATIO, grid_steps=100, replications=4000).draws
+print(hashlib.sha256(draws.tobytes()).hexdigest(), "concurrent.futures.process" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_default_pool_runs_in_a_script_without_a_main_guard(tmp_path, method):
+    # Under spawn or forkserver a pool's workers re-import __main__, and a
+    # script that draws at module level would draw again in each of them and
+    # break the pool.  The default pool forks, whatever the start method.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, str(script), method], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    serial = simulate_null(FULL_RATIO, grid_steps=100, replications=4000, workers=1).draws
+    assert proc.stdout.split() == [hashlib.sha256(serial.tobytes()).hexdigest(), "True"]
 
 
 def test_plan_chunks_caps_pool(usable_cpus, fake_pools):

@@ -253,7 +253,7 @@ def test_run_grid_builds_one_capped_pool_of_thresholds(usable_cpus, fake_pools, 
     usable_cpus(3)
     run_grid(cells, nulls=nulls, workers=8)
     usable_cpus(64)
-    run_grid([dataclasses.replace(cells[0], replications=2)], nulls=nulls, workers=8)
+    run_grid([dataclasses.replace(cells[0], replications=32)], nulls=nulls, workers=8)
     # one pool per run, capped by the worker count, the CPU count, the task count
     assert [pool.max_workers for pool in fake_pools] == [2, 3, 2]
 

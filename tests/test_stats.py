@@ -251,6 +251,15 @@ def test_full_statistic_bits_at_n_200000():
     assert stats.full_statistic(x, cfg, 1 / 3, 2 / 3).hex() == "0x1.1f9681529de11p+0"
 
 
+def test_cusum_lrv_test_bits_at_n_200000():
+    # pinned from the integer ramp 1..n over n, before the float one
+    x = np.random.default_rng(2026).standard_normal(200_000)
+    x[100_000:] += 0.01
+    outcome = stats.cusum_lrv_test(x, 0.05)
+    assert outcome.statistic.hex() == "0x1.90cab42acd1a1p+0"
+    assert outcome.threshold.hex() == "0x1.56cd79c44785dp+0"
+
+
 def stack_rows():
     """Plain rows, rows scaled by 2**1000 and 2**-1000, and an all-zero row of
     length 250, which is not a multiple of the block length 7."""
