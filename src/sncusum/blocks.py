@@ -123,30 +123,35 @@ def _check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name}={value} not in [0, 1]")
 
 
-def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int = 0, hi: int | None = None,
-         carry: np.ndarray | None = None) -> np.ndarray:
-    """Process over the s-grid from the observations of time rank <= ``m``,
-    along the last axis of ``x`` (one series or a stack of them).
+def _carried_cumsum(values: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Prefix sum of ``values`` along the last axis, in place, continued from
+    the running sum ``carry`` (shape ``values.shape[:-1] + (1,)``), which is
+    left holding the new one: blocks summed in turn give the bits of one whole
+    prefix sum.  A fresh carry is -0.0, whose addition keeps every bit."""
+    values[..., :1] += carry
+    np.cumsum(values, axis=-1, out=values)
+    carry[...] = values[..., -1:]
+    return values
 
-    Returns an array ``row`` with ``row[..., j - lo]`` the process value at
-    s = j/n for the grid columns lo <= j < hi (by default all n+1).  A block
-    of columns that starts past column 0 continues the prefix sum from
-    ``carry`` (shape ``x.shape[:-1] + (1,)``), the sum through column lo-1;
-    a given ``carry`` is left holding the sum through column hi-1.  So
-    consecutive blocks add in the order of one full row, and give its bits.
-    """
-    hi = cfg.n + 1 if hi is None else hi
+
+def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int, hi: int,
+         carry: np.ndarray) -> np.ndarray:
+    """Process at s = j/n for the grid columns 1 <= lo <= j < hi, from the
+    observations of time rank <= ``m``, along the last axis of ``x`` (one
+    series or a stack of them); its prefix sum continues from ``carry`` (see
+    ``_carried_cumsum``)."""
+    cols = slice(lo - 1, hi - 1)
     row = np.zeros(x.shape[:-1] + (hi - lo,))
-    sums = row[..., 1:] if lo == 0 else row
-    cols = slice(max(lo, 1) - 1, hi - 1)
-    np.copyto(sums, x[..., cols], where=_time_rank(cfg)[cols] <= m)
-    if lo:
-        sums[..., :1] += carry
-    np.cumsum(sums, axis=-1, out=sums)
-    if carry is not None:
-        carry[...] = sums[..., -1:]
+    np.copyto(row, x[..., cols], where=_time_rank(cfg)[cols] <= m)
+    _carried_cumsum(row, carry)
     row /= cfg.n
     return row
+
+
+def _whole_row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
+    """``_row`` over all n+1 grid columns; column 0 (s = 0) is zero."""
+    row = _row(x, cfg, m, 1, cfg.n + 1, np.full(x.shape[:-1] + (1,), -0.0))
+    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), row], axis=-1)
 
 
 def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
@@ -158,7 +163,7 @@ def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
     _check_unit("t", t)
     _check_unit("s", s)
     e = int(_exponent(x))
-    row = _row(np.ldexp(x, -e), cfg, _floor_index(t * cfg.n))
+    row = _whole_row(np.ldexp(x, -e), cfg, _floor_index(t * cfg.n))
     return float(np.ldexp(row[_floor_index(s * cfg.n)], e))
 
 
@@ -174,10 +179,9 @@ class PartialSumGrid:
     ``x`` is one series, or a stack of series along its leading axes whose
     rows are each read as that series alone; every method works along the
     last axis.  ``row(k)`` is the process at t = k*n_blocks/n over the s-grid
-    {j/n}, one O(n) prefix sum; no lattice of all knots is built.  A row can
-    also be read one block of columns at a time, with its prefix sum carried
-    from block to block (see ``_row``), which is how the full rules read
-    three rows in one cache-sized pass.
+    {j/n}, one O(n) prefix sum; no lattice of all knots is built.  The full
+    rules read their three rows through ``_row`` instead, one block of
+    columns at a time, in one cache-sized pass.
     """
 
     def __init__(self, cfg: BlockConfig, x: np.ndarray):
@@ -188,11 +192,9 @@ class PartialSumGrid:
     def compute(cls, x, cfg: BlockConfig) -> "PartialSumGrid":
         return cls(cfg, as_series(x, cfg))
 
-    def row(self, k: int, lo: int = 0, hi: int | None = None,
-            carry: np.ndarray | None = None) -> np.ndarray:
-        """Process at coarse knot ``k`` over the s-grid: all n+1 columns, or
-        the columns lo..hi-1 continuing the prefix sum ``carry`` (``_row``)."""
-        return _row(self.x, self.cfg, k * self.cfg.n_blocks, lo, hi, carry)
+    def row(self, k: int) -> np.ndarray:
+        """Process at coarse knot ``k`` over all n+1 columns of the s-grid."""
+        return _whole_row(self.x, self.cfg, k * self.cfg.n_blocks)
 
     def knot_margins(self) -> np.ndarray:
         """Coarsened process at s=1 for every knot (the time marginal)."""

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from sncusum.blocks import BlockConfig, PartialSumGrid, _exponent, _sup, as_series, knot_of
+from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent, _row, _sup,
+                            as_series, knot_of)
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 from sncusum import nulldist
 from sncusum.nulldist import NullSample
@@ -116,29 +117,20 @@ class TestOutcome:
     reject: bool
 
 
-def _bridge_area(values: np.ndarray, n: int, lo: int = 0,
-                 carry: np.ndarray | None = None) -> np.ndarray:
+def _bridge_area(values: np.ndarray, n: int, lo: int, carry: np.ndarray) -> np.ndarray:
     """Integrated deviation of a grid function from its chord through 0,
     along the last axis.
 
     For a function f on the grid {j/n} with f(0) = 0, returns at each s = j/n
     the Riemann sum over x in {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.
-    ``values`` holds f at the grid columns lo, lo+1, ... (by default all of
-    them); past column 0 the running sum of f continues from ``carry`` as in
-    ``blocks._row``.
+    ``values`` holds f at the grid columns lo, lo+1, ...; the running sum of
+    f continues from ``carry`` (see ``blocks._carried_cumsum``).
     """
-    out = values.copy()
-    if lo:
-        out[..., :1] += carry
-    np.cumsum(out, axis=-1, out=out)
-    if carry is not None:
-        carry[...] = out[..., -1:]
+    out = _carried_cumsum(values.copy(), carry)
     weights = np.arange(lo + 1, lo + 1 + values.shape[-1], dtype=float)
     weights /= 2.0
     out -= values * weights
     out /= n
-    if not lo:
-        out[..., 0] = 0.0
     return out
 
 
@@ -178,29 +170,29 @@ def _full_ratio(grid: PartialSumGrid, t0: float, t1: float) -> tuple[np.ndarray,
     """Full ratio's numerator and self-normalizer from the process rows at
     knots k0, k1 and last, along the last axis of a unit-scaled grid.
 
-    One pass over blocks of columns, as many per block as fit
-    ``nulldist._BLOCK_BYTES`` for the whole stack: each block reads the three
-    rows, the contrast and both bridge areas, and carries their five prefix
-    sums on to the next block; each supremum is the largest block supremum.
+    One pass over the grid columns 1..n in blocks of ``nulldist.block_rows``
+    columns for the whole stack: each block reads the three rows, the
+    contrast and both bridge areas, and carries their five prefix sums on to
+    the next block; each supremum is the largest block supremum.  Column 0
+    (s = 0) is zero in all of them.  The numerator, the k0 area's supremum
+    times sqrt(n), rounds as the supremum of its values times sqrt(n) would.
     Every value has the bits of the full-length rows, but no length-n
     temporary is built.
     """
     cfg, x = grid.cfg, grid.x
     k0, k1, last = _knot_indices(cfg, t0, t1)
     ratio = (k1 - k0) / (last - k0)
-    width = max(1, nulldist._BLOCK_BYTES // (8 * (x.size // cfg.n)))
-    # grid columns: the first block also holds column 0, so that a stack of
-    # at most ``width`` data columns is one block
-    bounds = [0, *range(width + 1, cfg.n + 1, width), cfg.n + 1]
-    carries = np.zeros((5,) + x.shape[:-1] + (1,))
+    ell = cfg.n_blocks
+    bounds = [*range(1, cfg.n + 1, nulldist.block_rows(8 * (x.size // cfg.n))), cfg.n + 1]
+    carries = np.full((5,) + x.shape[:-1] + (1,), -0.0)
     numerator = denominator = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        early = grid.row(k0, lo, hi, carries[0])
-        numerator = np.maximum(numerator, _sup(numerator_values(early, cfg.n, lo, carries[3])))
-        contrast = contrast_values(early, grid.row(k1, lo, hi, carries[1]),
-                                   grid.row(last, lo, hi, carries[2]), ratio, cfg.n)
+        early = _row(x, cfg, k0 * ell, lo, hi, carries[0])
+        numerator = np.maximum(numerator, _sup(_bridge_area(early, cfg.n, lo, carries[1])))
+        contrast = contrast_values(early, _row(x, cfg, k1 * ell, lo, hi, carries[2]),
+                                   _row(x, cfg, last * ell, lo, hi, carries[3]), ratio, cfg.n)
         denominator = np.maximum(denominator, _sup(_bridge_area(contrast, cfg.n, lo, carries[4])))
-    return numerator, denominator
+    return numerator * math.sqrt(cfg.n), denominator
 
 
 def _quotient(numerator, denominator, what: str) -> float:
@@ -217,15 +209,6 @@ def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
     return _quotient(*_full_ratio(unit_scaled(grid), t0, t1), "constant")
-
-
-def numerator_values(early: np.ndarray, n: int, lo: int = 0,
-                     carry: np.ndarray | None = None) -> np.ndarray:
-    """Numerator process of the full rule on the s-grid, from the row at knot
-    k0 (its columns lo.., with ``carry`` as in ``_bridge_area``)."""
-    out = _bridge_area(early, n, lo, carry)
-    out *= math.sqrt(n)
-    return out
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,

@@ -120,6 +120,16 @@ def test_partial_sum_zero_boundaries():
         assert partial_sum(x, cfg, u, 0.0) == 0.0
 
 
+def test_signed_zeros_keep_their_bits():
+    # pinned before the carried prefix sum: a sum continued from +0.0 would
+    # turn the leading -0.0 values into +0.0
+    x = [-0.0, -0.0, 1, 2, 3, 4, 5, 6]
+    cfg = make_block_config(8, 2)
+    assert partial_sum(x, cfg, 1.0, 1 / 8).hex() == "-0x0.0p+0"
+    row = PartialSumGrid.compute(x, cfg).row(cfg.n_knots)[:3]
+    assert [v.hex() for v in row] == ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0"]
+
+
 def test_ordinary_process_is_prefix_mean():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(37)

@@ -482,9 +482,10 @@ print(json.dumps([after_import, after_test, "scipy.signal" in sys.modules]))
 
 
 def test_cold_test_and_nulldist_import_no_scipy(tmp_path):
-    # `test` and `nulldist` (at one worker) must not pay for scipy or for the
-    # process-pool module; `simulate` must import scipy.signal before its
-    # pool forks, so that workers inherit it.
+    # `test` and `nulldist` must not pay for scipy or for the process-pool
+    # module; `nulldist` runs at its default worker count, but a 1000-draw
+    # kind is one range, so it stays in-process.  `simulate` must import
+    # scipy.signal before its pool forks, so that workers inherit it.
     write_series(tmp_path / "x.csv", np.random.default_rng(1).standard_normal(200))
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
@@ -572,3 +573,31 @@ def test_aggregate_bad_rows(capsys, tmp_path):
     assert code == 3
     assert "2001" in err
     assert not dst.exists()
+
+
+def test_byte_order_mark_keeps_the_first_row(capsys, cache_dir, tmp_path):
+    # a UTF-8 byte-order mark (as Excel and PowerShell write) must not turn
+    # the first observation into a header
+    x = np.random.default_rng(3).standard_normal(200)
+    x[:20] += 5.0
+    text = "\n".join(repr(float(v)) for v in x) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for method in ("lrv", "full-v2"):
+        outputs = [run_cli(capsys, ["test", "--input", str(path), "--method", method,
+                                    "--null-cache", str(cache_dir)])
+                   for path in (plain, marked)]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1], method
+        assert json.loads(outputs[1][1])["n"] == 200
+
+    daily = "2001-07-01,1\n2001-07-02,101\n2002-07-01,4\n"
+    plain.write_text(daily, encoding="utf-8")
+    marked.write_text(daily, encoding="utf-8-sig")
+    for path in (plain, marked):
+        dst = tmp_path / f"annual-{path.stem}.csv"
+        code, _, _ = run_cli(capsys, ["aggregate", "--input", str(path), "--out", str(dst)])
+        assert code == 0
+        assert dst.read_text() == "year,value\n2001,51.000000\n2002,4.000000\n"

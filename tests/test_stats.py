@@ -23,8 +23,19 @@ def contrast_rows(x, cfg, t0, t1):
     return grid.row(k0), grid.row(k1), grid.row(last), (k1 - k0) / (last - k0)
 
 
+def whole_area(values, n):
+    """Bridge area over all n+1 columns of ``values``: lo = 0, a fresh carry."""
+    return stats._bridge_area(values, n, 0, np.full(values.shape[:-1] + (1,), -0.0))
+
+
+def numerator_values(early, n):
+    """Numerator process of the full rule from the row at knot k0: its
+    bridge area, each value times sqrt(n)."""
+    return whole_area(early, n) * math.sqrt(n)
+
+
 def numerator(x, cfg, t0):
-    return stats.numerator_values(PartialSumGrid.compute(x, cfg).row(knot_of(cfg, t0)), cfg.n)
+    return numerator_values(PartialSumGrid.compute(x, cfg).row(knot_of(cfg, t0)), cfg.n)
 
 
 def contrast(x, cfg, t0, t1):
@@ -32,7 +43,7 @@ def contrast(x, cfg, t0, t1):
 
 
 def denominator(x, cfg, t0, t1):
-    return stats._bridge_area(contrast(x, cfg, t0, t1), cfg.n)
+    return whole_area(contrast(x, cfg, t0, t1), cfg.n)
 
 
 # --- simple statistic -------------------------------------------------------
@@ -201,13 +212,12 @@ def test_full_statistic_memory_is_linear():
 
 def full_length_ratio(grid, t0, t1):
     """The full ratio from whole rows: grid.row, contrast_values and
-    _bridge_area over all n+1 columns at once."""
+    _bridge_area over all n+1 columns at once, every numerator value scaled."""
     cfg = grid.cfg
     k0, k1, last = stats._knot_indices(cfg, t0, t1)
     early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
     contrast = stats.contrast_values(early, mid, late, (k1 - k0) / (last - k0), cfg.n)
-    return (_sup(stats.numerator_values(early, cfg.n)),
-            _sup(stats._bridge_area(contrast, cfg.n)))
+    return _sup(numerator_values(early, cfg.n)), _sup(whole_area(contrast, cfg.n))
 
 
 def hexes(values):
