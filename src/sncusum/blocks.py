@@ -173,16 +173,25 @@ def knot_of(cfg: BlockConfig, t: float) -> int:
     return _floor_index(t * cfg.n) // cfg.n_blocks
 
 
-class PartialSumGrid:
-    """A validated series with its block geometry, read one knot row at a time.
+def _knot_margins(x: np.ndarray, cfg: BlockConfig) -> np.ndarray:
+    """Coarsened process at s=1 for every knot (the time marginal), along the
+    last axis of ``x`` (one series or a stack of them)."""
+    # the first knot whose row includes each position; the last position
+    # of time rank n falls in bin ceil(n / n_blocks)
+    step = (_time_rank(cfg) + cfg.n_blocks - 1) // cfg.n_blocks
+    bins = -(-cfg.n // cfg.n_blocks) + 1
+    rows = x.reshape(-1, cfg.n)
+    # one bincount over all rows: row r owns bins r*bins .. r*bins + bins-1
+    index = step + bins * np.arange(len(rows))[:, None]
+    sums = np.bincount(index.ravel(), weights=rows.ravel())
+    sums = sums.reshape(x.shape[:-1] + (bins,))
+    return np.cumsum(sums, axis=-1)[..., : cfg.n_knots + 1] / cfg.n
 
-    ``x`` is one series, or a stack of series along its leading axes whose
-    rows are each read as that series alone; every method works along the
-    last axis.  ``row(k)`` is the process at t = k*n_blocks/n over the s-grid
-    {j/n}, one O(n) prefix sum; no lattice of all knots is built.  The full
-    rules read their three rows through ``_row`` instead, one block of
-    columns at a time, in one cache-sized pass.
-    """
+
+class PartialSumGrid:
+    """A series validated by ``as_series`` against its block geometry: the
+    input of the public ``*_statistic_from_grid`` functions.  The statistic
+    kernels read the plain array ``x`` and ``cfg``."""
 
     def __init__(self, cfg: BlockConfig, x: np.ndarray):
         self.cfg = cfg
@@ -191,21 +200,3 @@ class PartialSumGrid:
     @classmethod
     def compute(cls, x, cfg: BlockConfig) -> "PartialSumGrid":
         return cls(cfg, as_series(x, cfg))
-
-    def row(self, k: int) -> np.ndarray:
-        """Process at coarse knot ``k`` over all n+1 columns of the s-grid."""
-        return _whole_row(self.x, self.cfg, k * self.cfg.n_blocks)
-
-    def knot_margins(self) -> np.ndarray:
-        """Coarsened process at s=1 for every knot (the time marginal)."""
-        cfg = self.cfg
-        # the first knot whose row includes each position; the last position
-        # of time rank n falls in bin ceil(n / n_blocks)
-        step = (_time_rank(cfg) + cfg.n_blocks - 1) // cfg.n_blocks
-        bins = -(-cfg.n // cfg.n_blocks) + 1
-        rows = self.x.reshape(-1, cfg.n)
-        # one bincount over all rows: row r owns bins r*bins .. r*bins + bins-1
-        index = step + bins * np.arange(len(rows))[:, None]
-        sums = np.bincount(index.ravel(), weights=rows.ravel())
-        sums = sums.reshape(self.x.shape[:-1] + (bins,))
-        return np.cumsum(sums, axis=-1)[..., : cfg.n_knots + 1] / cfg.n

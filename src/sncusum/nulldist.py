@@ -345,6 +345,15 @@ def kolmogorov_cdf(x: float) -> float:
     return min(1.0, max(0.0, 1.0 - 2.0 * total))
 
 
+def kolmogorov_sf(x: float) -> float:
+    """Survival function 1 - ``kolmogorov_cdf``, to full relative precision in
+    the tail: from x = 1 on it is the series 2*sum_k (-1)**(k-1) exp(-2 k^2 x^2)
+    itself, whose terms k >= 5 fall below 1e-20 of the first."""
+    if not x >= 1.0:  # NaN reaches kolmogorov_cdf's check
+        return 1.0 - kolmogorov_cdf(x)
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(4, 0, -1))
+
+
 @lru_cache(maxsize=64)
 def kolmogorov_quantile(level: float) -> float:
     """Inverse of ``kolmogorov_cdf`` by bisection to absolute precision 1e-8."""

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, make_block_config
+from sncusum.blocks import make_block_config
 from sncusum.errors import ConfigurationError
 from sncusum.nulldist import NullSample, block_rows, map_chunks, plan_chunks
 
@@ -237,16 +237,16 @@ def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
 def _tally(x: np.ndarray, cfg, tests, thresholds: dict, alpha: float,
            rejections: dict, degenerate: dict) -> None:
     """Add the rejections and degenerate rows of a stack of series (one per
-    row) to the per-test counts; a self-normalized test rejects above its
-    threshold in ``thresholds``, the LRV test at level ``alpha``."""
-    grid = stats.unit_scaled(PartialSumGrid(cfg, x))  # scaled once for every test
+    row, unit-scaled once for all tests) to the per-test counts; a test in
+    ``thresholds`` rejects above its threshold, the LRV test at level ``alpha``."""
+    u = stats.unit_scaled(x)
     for name in tests:
         if name in thresholds:
-            numerator, denominator = stats.RULES[name].ratio(grid)
+            numerator, denominator = stats.RULES[name].ratio(u, cfg)
             valid = denominator != 0.0
             rejected = numerator[valid] / denominator[valid] > thresholds[name]
         else:
-            statistic, sigma2 = stats.cusum_lrv(grid.x)
+            statistic, sigma2 = stats.cusum_lrv(u)
             valid = sigma2 != 0.0
             q = nulldist.kolmogorov_quantile(1.0 - alpha)
             rejected = statistic[valid] > np.sqrt(sigma2[valid]) * q

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent, _row, _sup,
-                            as_series, knot_of)
+from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent,
+                            _knot_margins, _row, _sup, as_series, knot_of)
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 from sncusum import nulldist
 from sncusum.nulldist import NullSample
@@ -64,13 +64,13 @@ class Rule:
             return simple_statistic_from_grid(grid)
         return full_statistic_from_grid(grid, *self.splits)
 
-    def ratio(self, grid: PartialSumGrid) -> tuple[np.ndarray, np.ndarray]:
+    def ratio(self, u: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and self-normalizer of the statistic along the last axis of
-        a ``unit_scaled`` grid; the statistic is their quotient where the
-        self-normalizer is not zero."""
+        ``unit_scaled`` series of geometry ``cfg``; the statistic is their
+        quotient where the self-normalizer is not zero."""
         if self.splits is None:
-            return _simple_ratio(grid)
-        return _full_ratio(grid, *self.splits)
+            return _simple_ratio(u, cfg)
+        return _full_ratio(u, cfg, *self.splits)
 
     def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
         """Run the rule through ``decide_simple``, or ``decide_full`` with
@@ -145,30 +145,31 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
-def unit_scaled(grid: PartialSumGrid) -> PartialSumGrid:
-    """The grid of each series times the exact power of two 2**-e, in whose
-    units all four tests decide: no sum of it overflows, and tiny data keep their bits."""
-    return PartialSumGrid(grid.cfg, np.ldexp(grid.x, -_exponent(grid.x)[..., None]))
+def unit_scaled(x: np.ndarray) -> np.ndarray:
+    """Each series along the last axis of ``x`` times the exact power of two
+    2**-e, in whose units all four tests decide: no sum of it overflows, and
+    tiny data keep their bits."""
+    return np.ldexp(x, -_exponent(x)[..., None])
 
 
-def _simple_ratio(grid: PartialSumGrid) -> tuple[np.ndarray, np.ndarray]:
+def _simple_ratio(u: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
     """Simple ratio's numerator (plain partial sums) and self-normalizer (knot
-    margins) along the last axis of a unit-scaled grid."""
-    cfg = grid.cfg
+    margins) along the last axis of unit-scaled series."""
     last = cfg.n_knots
     if last < 2:
         raise ConfigurationError(
             f"need at least 2 coarse steps, got {last} for n={cfg.n}"
         )
-    numerator = _sup(np.cumsum(grid.x, axis=-1)) / cfg.n
-    margins = grid.knot_margins()
+    numerator = _sup(np.cumsum(u, axis=-1)) / cfg.n
+    margins = _knot_margins(u, cfg)
     scaled = np.arange(last) / (last - 1)  # rescaled time at knots 1..last
     return numerator, _sup(margins[..., 1:] - scaled * margins[..., last, None])
 
 
-def _full_ratio(grid: PartialSumGrid, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+def _full_ratio(u: np.ndarray, cfg: BlockConfig, t0: float,
+                t1: float) -> tuple[np.ndarray, np.ndarray]:
     """Full ratio's numerator and self-normalizer from the process rows at
-    knots k0, k1 and last, along the last axis of a unit-scaled grid.
+    knots k0, k1 and last, along the last axis of unit-scaled series.
 
     One pass over the grid columns 1..n in blocks of ``nulldist.block_rows``
     columns for the whole stack: each block reads the three rows, the
@@ -179,18 +180,17 @@ def _full_ratio(grid: PartialSumGrid, t0: float, t1: float) -> tuple[np.ndarray,
     Every value has the bits of the full-length rows, but no length-n
     temporary is built.
     """
-    cfg, x = grid.cfg, grid.x
     k0, k1, last = _knot_indices(cfg, t0, t1)
     ratio = (k1 - k0) / (last - k0)
     ell = cfg.n_blocks
-    bounds = [*range(1, cfg.n + 1, nulldist.block_rows(8 * (x.size // cfg.n))), cfg.n + 1]
-    carries = np.full((5,) + x.shape[:-1] + (1,), -0.0)
+    bounds = [*range(1, cfg.n + 1, nulldist.block_rows(8 * (u.size // cfg.n))), cfg.n + 1]
+    carries = np.full((5,) + u.shape[:-1] + (1,), -0.0)
     numerator = denominator = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        early = _row(x, cfg, k0 * ell, lo, hi, carries[0])
+        early = _row(u, cfg, k0 * ell, lo, hi, carries[0])
         numerator = np.maximum(numerator, _sup(_bridge_area(early, cfg.n, lo, carries[1])))
-        contrast = contrast_values(early, _row(x, cfg, k1 * ell, lo, hi, carries[2]),
-                                   _row(x, cfg, last * ell, lo, hi, carries[3]), ratio, cfg.n)
+        contrast = contrast_values(early, _row(u, cfg, k1 * ell, lo, hi, carries[2]),
+                                   _row(u, cfg, last * ell, lo, hi, carries[3]), ratio, cfg.n)
         denominator = np.maximum(denominator, _sup(_bridge_area(contrast, cfg.n, lo, carries[4])))
     return numerator * math.sqrt(cfg.n), denominator
 
@@ -203,12 +203,12 @@ def _quotient(numerator, denominator, what: str) -> float:
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
     """Simple ratio statistic from the plain partial sums and the knot margins."""
-    return _quotient(*_simple_ratio(unit_scaled(grid)), "constant-zero")
+    return _quotient(*_simple_ratio(unit_scaled(grid.x), grid.cfg), "constant-zero")
 
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
-    return _quotient(*_full_ratio(unit_scaled(grid), t0, t1), "constant")
+    return _quotient(*_full_ratio(unit_scaled(grid.x), grid.cfg, t0, t1), "constant")
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
@@ -326,6 +326,6 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
         statistic=statistic_x,
         threshold=threshold_x,
         quantile=q,
-        p_value=1.0 - nulldist.kolmogorov_cdf(statistic / sigma),
+        p_value=nulldist.kolmogorov_sf(statistic / sigma),
         reject=statistic > sigma * q,
     )

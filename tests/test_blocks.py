@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sncusum import blocks
 from sncusum.blocks import (
     BlockConfig,
-    PartialSumGrid,
     knot_of,
     make_block_config,
     partial_sum,
@@ -17,6 +16,11 @@ import oracles
 
 X4 = np.array([1.0, 2.0, 3.0, 4.0])
 CFG4 = make_block_config(4, 2)
+
+
+def knot_row(x, cfg, k):
+    """The process at coarse knot ``k`` over all n+1 columns of the s-grid."""
+    return blocks._whole_row(x, cfg, k * cfg.n_blocks)
 
 
 def test_default_block_rule():
@@ -126,7 +130,7 @@ def test_signed_zeros_keep_their_bits():
     x = [-0.0, -0.0, 1, 2, 3, 4, 5, 6]
     cfg = make_block_config(8, 2)
     assert partial_sum(x, cfg, 1.0, 1 / 8).hex() == "-0x0.0p+0"
-    row = PartialSumGrid.compute(x, cfg).row(cfg.n_knots)[:3]
+    row = knot_row(blocks.as_series(x), cfg, cfg.n_knots)[:3]
     assert [v.hex() for v in row] == ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0"]
 
 
@@ -152,24 +156,23 @@ def test_single_index_increment_bound():
 
 
 def test_coarsened_hand_cases():
-    grid = PartialSumGrid.compute(X4, CFG4)  # 2 blocks of 2, knots at t = 0, 1/2, 1
-    assert not grid.row(0).any()
+    # 2 blocks of 2, knots at t = 0, 1/2, 1
+    assert not knot_row(X4, CFG4, 0).any()
     # t=0.6 snaps down to knot 1 (t=1/2): the first element of each block
-    np.testing.assert_allclose(grid.row(knot_of(CFG4, 0.6)), [0.0, 0.25, 0.25, 1.0, 1.0])
-    assert grid.row(2)[2] == partial_sum(X4, CFG4, 1.0, 0.5)
+    np.testing.assert_allclose(knot_row(X4, CFG4, knot_of(CFG4, 0.6)), [0.0, 0.25, 0.25, 1.0, 1.0])
+    assert knot_row(X4, CFG4, 2)[2] == partial_sum(X4, CFG4, 1.0, 0.5)
 
 
 def test_coarsened_piecewise_constant_in_t():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(60)
     cfg = make_block_config(60, 6)  # n_blocks=10, knots every 1/6
-    grid = PartialSumGrid.compute(x, cfg)
     width = cfg.n_blocks / cfg.n
     for k in range(cfg.n_knots):
         left = k * width
         for frac in (0.0, 0.37, 0.93):
             assert knot_of(cfg, left + frac * width * 0.999) == k
-        assert grid.row(k)[48] == partial_sum(x, cfg, left, 0.8)
+        assert knot_row(x, cfg, k)[48] == partial_sum(x, cfg, left, 0.8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,11 +199,10 @@ def test_grid_rows_match_brute_force():
         b = int(rng.integers(1, n + 1))
         cfg = make_block_config(n, b)
         x = rng.standard_normal(n)
-        grid = PartialSumGrid.compute(x, cfg)
         for k in range(cfg.n_knots + 1):
             t = k * cfg.n_blocks / n
             for j in (0, n // 3, n):
-                assert grid.row(k)[j] == pytest.approx(
+                assert knot_row(x, cfg, k)[j] == pytest.approx(
                     oracles.partial_sum(x, cfg, t, j / n), abs=1e-12
                 )
 
@@ -209,13 +211,12 @@ def test_grid_margins_and_coarse_value():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(50)
     cfg = make_block_config(50, 7)  # 7 blocks of 7 plus one leftover index
-    grid = PartialSumGrid.compute(x, cfg)
-    margins = grid.knot_margins()
+    margins = blocks._knot_margins(x, cfg)
     assert margins.shape == (cfg.n_knots + 1,)
     for k in range(cfg.n_knots + 1):
         t = k * cfg.n_blocks / cfg.n
         assert margins[k] == pytest.approx(oracles.partial_sum(x, cfg, t, 1.0), abs=1e-14)
-    assert grid.row(knot_of(cfg, 0.55))[20] == pytest.approx(
+    assert knot_row(x, cfg, knot_of(cfg, 0.55))[20] == pytest.approx(
         oracles.coarse_partial_sum(x, cfg, 0.55, 0.4), abs=1e-14
     )
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sncusum import cli, nulldist, stats
+from sncusum import cli, nulldist, stats, validation
 from sncusum.simulation import Scenario, mean_value, run_grid
 
 
@@ -264,6 +264,16 @@ def test_cmd_test_env_cache_dir(capsys, cache_dir, gauss_csv, monkeypatch):
     assert json.loads(out)["method"] == "sn_simple"
 
 
+@pytest.mark.parametrize("xdg", ["", "relative/dir"])
+def test_cache_dir_ignores_an_empty_or_relative_xdg_cache_home(monkeypatch, tmp_path, xdg):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    assert cli._cache_dir(None) == tmp_path / ".cache" / "sn-cusum"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert cli._cache_dir(None) == tmp_path / "xdg" / "sn-cusum"
+
+
 def test_usage_errors_exit_one(capsys):
     assert cli.main(["test", "--method", "simple"]) == 1  # missing --input
     assert cli.main(["frobnicate"]) == 1
@@ -510,8 +520,10 @@ def test_validate_default_passes(capsys):
     assert {"name", "deviation", "tolerance", "params", "passed"} <= set(reports[0])
 
 
-def test_validate_strict_fails(capsys):
-    code, out, _ = run_cli(capsys, ["validate", "--strict"])
+def test_validate_fails_when_a_check_fails(capsys, monkeypatch):
+    failing = validation.OracleReport(name="failing", deviation=1.0, tolerance=0.1)
+    monkeypatch.setattr(validation, "run_all_checks", lambda seed: [failing])
+    code, out, _ = run_cli(capsys, ["validate"])
     assert code == 1
     assert any(not r["passed"] for r in json.loads(out))
 

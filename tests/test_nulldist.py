@@ -25,6 +25,7 @@ from sncusum.nulldist import (
     block_rows,
     kolmogorov_cdf,
     kolmogorov_quantile,
+    kolmogorov_sf,
     load_sample,
     map_chunks,
     p_value,
@@ -358,6 +359,15 @@ def test_kolmogorov_cdf_refuses_nan():
 def test_kolmogorov_cdf_against_scipy():
     for x in np.linspace(0.3, 2.5, 23):
         assert kolmogorov_cdf(x) == pytest.approx(kstwobign.cdf(x), abs=1e-9)
+
+
+def test_kolmogorov_sf_against_scipy():
+    # from x = 1 on, the survival series keeps full relative precision where
+    # 1 - kolmogorov_cdf reaches 0.0 (x >= 3.72)
+    for x in np.linspace(1.0, 18.0, 171):
+        assert kolmogorov_sf(x) == pytest.approx(kstwobign.sf(x), rel=1e-9)
+    for x in np.linspace(0.05, 0.95, 19):
+        assert kolmogorov_sf(x) == 1.0 - kolmogorov_cdf(x)
 
 
 def test_kolmogorov_quantile_value():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstwobign
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, _sup, _time_rank, knot_of, make_block_config
+from sncusum.blocks import PartialSumGrid, _sup, _time_rank, _whole_row, knot_of, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -16,11 +17,16 @@ X4 = np.array([1.0, 2.0, 3.0, 4.0])
 CFG4 = make_block_config(4, 2)
 
 
+def knot_row(x, cfg, k):
+    """The process at coarse knot ``k`` over all n+1 columns of the s-grid."""
+    return _whole_row(x, cfg, k * cfg.n_blocks)
+
+
 def contrast_rows(x, cfg, t0, t1):
     """Process rows at knots k0, k1 and last, and the contrast ratio."""
-    grid = PartialSumGrid.compute(x, cfg)
     k0, k1, last = knot_of(cfg, t0), knot_of(cfg, t1), cfg.n_knots
-    return grid.row(k0), grid.row(k1), grid.row(last), (k1 - k0) / (last - k0)
+    rows = (knot_row(x, cfg, k) for k in (k0, k1, last))
+    return *rows, (k1 - k0) / (last - k0)
 
 
 def whole_area(values, n):
@@ -35,7 +41,7 @@ def numerator_values(early, n):
 
 
 def numerator(x, cfg, t0):
-    return numerator_values(PartialSumGrid.compute(x, cfg).row(knot_of(cfg, t0)), cfg.n)
+    return numerator_values(knot_row(x, cfg, knot_of(cfg, t0)), cfg.n)
 
 
 def contrast(x, cfg, t0, t1):
@@ -210,12 +216,11 @@ def test_full_statistic_memory_is_linear():
         assert peak < 8 * n + 2 * 2**20, n
 
 
-def full_length_ratio(grid, t0, t1):
-    """The full ratio from whole rows: grid.row, contrast_values and
+def full_length_ratio(u, cfg, t0, t1):
+    """The full ratio from whole rows: _whole_row, contrast_values and
     _bridge_area over all n+1 columns at once, every numerator value scaled."""
-    cfg = grid.cfg
     k0, k1, last = stats._knot_indices(cfg, t0, t1)
-    early, mid, late = grid.row(k0), grid.row(k1), grid.row(last)
+    early, mid, late = (knot_row(u, cfg, k) for k in (k0, k1, last))
     contrast = stats.contrast_values(early, mid, late, (k1 - k0) / (last - k0), cfg.n)
     return _sup(numerator_values(early, cfg.n)), _sup(whole_area(contrast, cfg.n))
 
@@ -243,9 +248,9 @@ def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
     # it, and n over four blocks, the last a remainder
     n = blocks * (nulldist._BLOCK_BYTES // (8 * rows)) + extra
     x = boundary_series(rows, n)
-    grid = stats.unit_scaled(PartialSumGrid(make_block_config(n), x))
+    u, cfg = stats.unit_scaled(x), make_block_config(n)
     for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
-        blocked, whole = rule.ratio(grid), full_length_ratio(grid, *rule.splits)
+        blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
         assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
         assert hexes(blocked[1]) == hexes(whole[1]), rule.test_id
         if rows > 1:
@@ -284,9 +289,9 @@ def test_stacked_statistics_equal_the_single_series_calls():
     x = stack_rows()
     cfg = make_block_config(250)
     assert cfg.n % cfg.block_length
-    grid = stats.unit_scaled(PartialSumGrid(cfg, x))
+    u = stats.unit_scaled(x)
     # first, so that the rules below would see any row it overwrote
-    statistic, sigma2 = stats.cusum_lrv(grid.x)
+    statistic, sigma2 = stats.cusum_lrv(u)
     q = nulldist.kolmogorov_quantile(0.95)
     for row, value, variance, e in zip(x[:-1], statistic, sigma2, stats._exponent(x)):
         single = stats.cusum_lrv_test(row, 0.05)
@@ -294,7 +299,7 @@ def test_stacked_statistics_equal_the_single_series_calls():
         assert np.ldexp(np.sqrt(variance) * q, e).hex() == single.threshold.hex()
     assert sigma2[-1] == 0.0
     for rule in stats.RULES.values():
-        numerator, denominator = rule.ratio(grid)
+        numerator, denominator = rule.ratio(u, cfg)
         for row, top, bottom in zip(x[:-1], numerator, denominator):
             single = rule.statistic(PartialSumGrid.compute(row, cfg))
             assert (top / bottom).hex() == single.hex(), rule.test_id
@@ -532,3 +537,14 @@ def test_cusum_lrv_rejects_step_change():
     grid = np.arange(1, n + 1) / n
     x = 2.0 * (grid > 0.5) + 0.2 * np.random.default_rng(21).standard_normal(n)
     assert stats.cusum_lrv_test(x, 0.05).reject
+
+
+def test_cusum_lrv_p_value_resolves_the_tail():
+    # a unit shift at n = 500 puts the statistic far beyond x = 3.72, where
+    # 1 - kolmogorov_cdf is 0.0
+    x = np.random.default_rng(21).standard_normal(500)
+    x[250:] += 1.0
+    out = stats.cusum_lrv_test(x, 0.05)
+    sigma = out.threshold / out.quantile
+    assert out.statistic / sigma > 3.72
+    assert out.p_value == pytest.approx(kstwobign.sf(out.statistic / sigma), rel=1e-9)
