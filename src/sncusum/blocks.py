@@ -112,10 +112,11 @@ def _sup(values: np.ndarray) -> np.ndarray:
     return np.maximum(values.max(axis=-1), -values.min(axis=-1))
 
 
-def _exponent(x: np.ndarray) -> np.ndarray:
-    """Binary exponent e of max|x| along the last axis: ``ldexp(x, -e)``
-    lies in (-1, 1); 0 for a zero row."""
-    return np.frexp(_sup(x))[1]
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each series along the last axis of ``x`` times 2**-e, which lies in
+    (-1, 1), and e, the binary exponent of its max|x| (0 for a zero row)."""
+    e = np.frexp(_sup(x))[1]
+    return np.ldexp(x, -e[..., None]), e
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -134,17 +135,46 @@ def _carried_cumsum(values: np.ndarray, carry: np.ndarray) -> np.ndarray:
     return values
 
 
+def _held_prefix(xs: np.ndarray, out: np.ndarray, width: int, count: int, n: int,
+                 carry: np.ndarray) -> None:
+    """Fill ``out`` with the row over blocks of ``width`` positions of ``xs``
+    that hold their first ``count``: their carried prefix sum over n, held over
+    the other offsets.  The masked row adds +0.0 (turning -0.0 to +0.0) at each
+    of those, so this adds it to the held values, the carry and later blocks."""
+    count = min(max(count, 0), width)
+    if count == width:  # nothing excluded: the plain prefix sum
+        np.copyto(out, xs)
+        _carried_cumsum(out, carry)
+        out /= n
+        return
+    shape = xs.shape[:-1] + (-1, width)
+    rows, held = out.reshape(shape), carry[..., None] / n
+    if count:
+        head = xs.reshape(shape)[..., :count].copy()
+        head[..., 1:, 0] += 0.0
+        _carried_cumsum(head.reshape(xs.shape[:-1] + (-1,)), carry)
+        head /= n
+        rows[..., :count], held = head, head[..., -1:]
+    rows[..., count:] = held + 0.0
+    carry += 0.0
+
+
 def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int, hi: int,
          carry: np.ndarray) -> np.ndarray:
-    """Process at s = j/n for the grid columns 1 <= lo <= j < hi, from the
-    observations of time rank <= ``m``, along the last axis of ``x`` (one
-    series or a stack of them); its prefix sum continues from ``carry`` (see
-    ``_carried_cumsum``)."""
-    cols = slice(lo - 1, hi - 1)
-    row = np.zeros(x.shape[:-1] + (hi - lo,))
-    np.copyto(row, x[..., cols], where=_time_rank(cfg)[cols] <= m)
-    _carried_cumsum(row, carry)
-    row /= cfg.n
+    """Process at s = j/n, lo <= j < hi, along the last axis of ``x``,
+    continuing from ``carry`` (lo - 1 a block boundary; hi - 1 one too, or n).
+    It sums the observations of time rank <= m = q * n_blocks + r: the first
+    q + 1 of the first r blocks, q of the others, remainder positions p < m."""
+    b, ell = cfg.block_length, cfg.n_blocks
+    q, r = divmod(m, ell)
+    start, stop = lo - 1, hi - 1
+    tail = min(stop, ell * b)
+    split = min(max(r * b, start), tail)
+    row = np.empty(x.shape[:-1] + (hi - lo,))
+    for a, z, width, count in ((start, split, b, q + 1), (split, tail, b, q),
+                               (tail, stop, cfg.n - ell * b, m - ell * b)):
+        if a < z:
+            _held_prefix(x[..., a:z], row[..., a - start : z - start], width, count, cfg.n, carry)
     return row
 
 
@@ -155,16 +185,15 @@ def _whole_row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
 
 
 def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
-    """Bivariate partial sum: average of the observations whose time rank is
-    at most floor(t*n) and whose sample position is at most floor(s*n);
-    exact at any finite scale of the data, since the row is taken of the
-    series times 2**-e and its value scaled back by 2**e."""
+    """Bivariate partial sum: the observations of time rank <= floor(t*n) and
+    sample position <= floor(s*n), summed over n; exact at any finite scale,
+    as the row is taken of ``_unit_scaled`` data and scaled back by 2**e."""
     x = as_series(x, cfg)
     _check_unit("t", t)
     _check_unit("s", s)
-    e = int(_exponent(x))
-    row = _whole_row(np.ldexp(x, -e), cfg, _floor_index(t * cfg.n))
-    return float(np.ldexp(row[_floor_index(s * cfg.n)], e))
+    u, e = _unit_scaled(x)
+    row = _whole_row(u, cfg, _floor_index(t * cfg.n))
+    return float(np.ldexp(row[_floor_index(s * cfg.n)], int(e)))
 
 
 def knot_of(cfg: BlockConfig, t: float) -> int:

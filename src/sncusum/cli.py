@@ -73,7 +73,7 @@ def _load_null(cache_flag: str | None, kind: str) -> nulldist.NullSample:
 def _lines(path) -> list[str]:
     try:
         return Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
 
 

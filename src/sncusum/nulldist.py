@@ -401,7 +401,10 @@ def load_sample(
     mismatches raise CacheProvenanceError, malformed files CacheFormatError.
     """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
+        try:  # the first read decodes a whole buffer, draws included
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise CacheFormatError(f"cache {path} is not ASCII text: {exc}") from None
         fields = header.split()
         if len(fields) != 6 or fields[0] != _CACHE_MAGIC:
             raise CacheFormatError(f"not a null-sample cache: {path}")

@@ -8,12 +8,13 @@ global long-run variance estimate serves as baseline.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
 
-from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent,
-                            _knot_margins, _row, _sup, as_series, knot_of)
+from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _knot_margins,
+                            _row, _sup, _unit_scaled, as_series, knot_of)
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 from sncusum import nulldist
 from sncusum.nulldist import NullSample
@@ -118,20 +119,22 @@ class TestOutcome:
 
 
 def _bridge_area(values: np.ndarray, n: int, lo: int, carry: np.ndarray) -> np.ndarray:
-    """Integrated deviation of a grid function from its chord through 0,
-    along the last axis.
-
-    For a function f on the grid {j/n} with f(0) = 0, returns at each s = j/n
-    the Riemann sum over x in {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.
-    ``values`` holds f at the grid columns lo, lo+1, ...; the running sum of
-    f continues from ``carry`` (see ``blocks._carried_cumsum``).
-    """
+    """Integrated deviation of a grid function f, f(0) = 0, from its chord
+    through 0 along the last axis: at each s = j/n, the Riemann sum over x in
+    {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.  ``values`` holds f at the grid
+    columns lo, lo+1, ...; its running sum continues from ``carry``."""
     out = _carried_cumsum(values.copy(), carry)
-    weights = np.arange(lo + 1, lo + 1 + values.shape[-1], dtype=float)
-    weights /= 2.0
-    out -= values * weights
+    out -= values * (_half_steps(values.shape[-1]) + (lo + 1) / 2)  # exact halves
     out /= n
     return out
+
+
+@lru_cache(maxsize=8)
+def _half_steps(width: int) -> np.ndarray:
+    """0, 1/2, ..., (width - 1)/2, read-only: the bridge weights less their offset."""
+    steps = np.arange(width) / 2.0
+    steps.setflags(write=False)
+    return steps
 
 
 def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int]:
@@ -146,10 +149,9 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
 
 
 def unit_scaled(x: np.ndarray) -> np.ndarray:
-    """Each series along the last axis of ``x`` times the exact power of two
-    2**-e, in whose units all four tests decide: no sum of it overflows, and
-    tiny data keep their bits."""
-    return np.ldexp(x, -_exponent(x)[..., None])
+    """``_unit_scaled`` without its exponent: the units in which all four tests
+    decide, where no sum overflows and tiny data keep their bits."""
+    return _unit_scaled(x)[0]
 
 
 def _simple_ratio(u: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -171,19 +173,17 @@ def _full_ratio(u: np.ndarray, cfg: BlockConfig, t0: float,
     """Full ratio's numerator and self-normalizer from the process rows at
     knots k0, k1 and last, along the last axis of unit-scaled series.
 
-    One pass over the grid columns 1..n in blocks of ``nulldist.block_rows``
-    columns for the whole stack: each block reads the three rows, the
-    contrast and both bridge areas, and carries their five prefix sums on to
-    the next block; each supremum is the largest block supremum.  Column 0
-    (s = 0) is zero in all of them.  The numerator, the k0 area's supremum
-    times sqrt(n), rounds as the supremum of its values times sqrt(n) would.
-    Every value has the bits of the full-length rows, but no length-n
-    temporary is built.
+    One pass over the grid columns 1..n (column 0 is zero) in chunks of whole
+    blocks, as many columns as ``nulldist.block_rows`` fits for the stack:
+    each chunk carries the five prefix sums of the three rows, the contrast
+    and both bridge areas on to the next, so every value has the bits of the
+    full-length rows, and each supremum is the largest chunk supremum.
     """
     k0, k1, last = _knot_indices(cfg, t0, t1)
     ratio = (k1 - k0) / (last - k0)
-    ell = cfg.n_blocks
-    bounds = [*range(1, cfg.n + 1, nulldist.block_rows(8 * (u.size // cfg.n))), cfg.n + 1]
+    b, ell = cfg.block_length, cfg.n_blocks
+    width = max(1, nulldist.block_rows(8 * (u.size // cfg.n)) // b) * b
+    bounds = [*range(1, ell * b + 1, width), cfg.n + 1]
     carries = np.full((5,) + u.shape[:-1] + (1,), -0.0)
     numerator = denominator = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -293,9 +293,8 @@ def cusum_lrv(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lrv_estimate(x) -> float:
     """Difference-based global long-run variance estimate of ``cusum_lrv``,
     taken of the series times 2**-e and scaled back by 4**e."""
-    x = as_series(x)
-    e = int(_exponent(x))
-    return float(np.ldexp(cusum_lrv(np.ldexp(x, -e))[1], 2 * e))
+    u, e = _unit_scaled(as_series(x))
+    return float(np.ldexp(cusum_lrv(u)[1], 2 * int(e)))
 
 
 def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
@@ -307,15 +306,14 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    x = as_series(x)
-    e = int(_exponent(x))
-    statistic, sigma2 = map(float, cusum_lrv(np.ldexp(x, -e)))
+    u, e = _unit_scaled(as_series(x))
+    statistic, sigma2 = map(float, cusum_lrv(u))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
     sigma = math.sqrt(sigma2)
     q = nulldist.kolmogorov_quantile(1.0 - alpha)
     try:
-        statistic_x, threshold_x = math.ldexp(statistic, e), math.ldexp(sigma * q, e)
+        statistic_x, threshold_x = math.ldexp(statistic, int(e)), math.ldexp(sigma * q, int(e))
     except OverflowError:
         raise ConfigurationError(
             "the LRV-CUSUM statistic or threshold exceeds the float range in the "

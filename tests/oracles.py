@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from sncusum.blocks import permute_index
+from sncusum.blocks import _time_rank, permute_index
 from sncusum.nulldist import SIMPLE_RATIO
 
 
@@ -25,6 +25,16 @@ def partial_sum(x, cfg, t, s):
         if i <= m and p <= j:
             total += x[p - 1]
     return total / cfg.n
+
+
+def masked_row(x, cfg, m):
+    """The process at time cutoff ``m`` over all n+1 columns of the s-grid,
+    along the last axis of ``x``, by its masked definition: every observation
+    of time rank above m replaced by +0.0, one prefix sum from -0.0 (whose
+    addition keeps every bit, so a plain cumsum), divided by n; column 0 is
+    +0.0.  This is the bit-level reference of the row kernel."""
+    sums = np.cumsum(np.where(_time_rank(cfg) <= m, x, 0.0), axis=-1)
+    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), sums / cfg.n], axis=-1)
 
 
 def coarse_partial_sum(x, cfg, t, s):

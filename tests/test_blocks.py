@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,13 @@ CFG4 = make_block_config(4, 2)
 
 
 def knot_row(x, cfg, k):
-    """The process at coarse knot ``k`` over all n+1 columns of the s-grid."""
-    return blocks._whole_row(x, cfg, k * cfg.n_blocks)
+    """The process at coarse knot ``k`` over all n+1 columns of the s-grid,
+    by the masked reference."""
+    return oracles.masked_row(x, cfg, k * cfg.n_blocks)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
 
 
 def test_default_block_rule():
@@ -132,6 +139,63 @@ def test_signed_zeros_keep_their_bits():
     assert partial_sum(x, cfg, 1.0, 1 / 8).hex() == "-0x0.0p+0"
     row = knot_row(blocks.as_series(x), cfg, cfg.n_knots)[:3]
     assert [v.hex() for v in row] == ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0"]
+
+
+def signed_zero_stack(n):
+    """Four series of length n: plain, half -0.0, all -0.0, and -0.0 and +0.0
+    at every third position each."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((4, n))
+    x[1, rng.random(n) < 0.5] = -0.0
+    x[2] = -0.0
+    x[3, ::3], x[3, 1::3] = -0.0, 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", [4, 9, 14, 31, 50, 61, 100])
+def test_rows_equal_the_masked_reference(n):
+    # the bits of every cutoff m of every block length: knot rows (m a
+    # multiple of n_blocks), rows between knots, and rows that take
+    # remainder positions; for the stack and for one series of it
+    x = signed_zero_stack(n)
+    for b in range(1, n + 1):
+        cfg = make_block_config(n, b)
+        for m in range(n + 1):
+            want = oracles.masked_row(x, cfg, m)
+            assert blocks._whole_row(x, cfg, m).tobytes() == want.tobytes(), (b, m)
+            assert blocks._whole_row(x[1], cfg, m).tobytes() == want[1].tobytes(), (b, m)
+
+
+def test_held_signed_zero_crosses_block_boundaries():
+    # pinned from the masked rows: -0.0 opens every block, so each block's
+    # first value follows a held +0.0 and must read +0.0, not -0.0
+    x = [-0.0, -0.0, 1, 2, -0.0, -0.0, 3, 4, -0.0, 5, 6, 7, -0.0, -0.0]
+    cfg = make_block_config(14, 4)  # 3 blocks of 4, two remainder positions
+    zero = "0x0.0p+0"
+    rows = [blocks._whole_row(blocks.as_series(x), cfg, k * cfg.n_blocks) for k in (1, 2, 3)]
+    assert hexes(rows[0]) == [zero, "-" + zero] + [zero] * 13
+    assert hexes(rows[1]) == [zero, "-" + zero, "-" + zero] + [zero] * 7 + ["0x1.6db6db6db6db7p-2"] * 5
+    assert hexes(rows[2]) == (
+        [zero, "-" + zero, "-" + zero] + ["0x1.2492492492492p-4"] * 4
+        + ["0x1.2492492492492p-2"] * 3 + ["0x1.4924924924925p-1"] + ["0x1.1249249249249p+0"] * 4
+    )
+
+
+def test_partial_sum_bits_at_cutoffs_between_knots():
+    # pinned from the masked rows; m = 17 = 2 * 7 + 3 takes 3 elements of
+    # the first three blocks and 2 of the others, m = 45 all of the first
+    # three blocks, m = 50 the remainder position
+    x = np.random.default_rng(18).standard_normal(50)
+    x[::6] = -0.0
+    cfg = make_block_config(50, 7)
+    assert partial_sum(x, cfg, 17 / 50, 30 / 50).hex() == "0x1.0b1acb9257b61p-3"
+    assert partial_sum(x, cfg, 45 / 50, 44 / 50).hex() == "0x1.9730f06321c71p-3"
+    assert partial_sum(x, cfg, 1.0, 1.0).hex() == "0x1.4631cf541c07cp-3"
+    assert partial_sum(x, cfg, 3 / 50, 40 / 50).hex() == "0x1.106b46b6407eap-5"
+    values = " ".join(partial_sum(x, cfg, m / 50, j / 50).hex()
+                      for m in range(51) for j in range(51))
+    digest = hashlib.sha256(values.encode()).hexdigest()
+    assert digest == "1fb1f657b0a4518ac8c09dcda702e7335ee80519eaca5ddd94b59c261e850524"
 
 
 def test_ordinary_process_is_prefix_mean():

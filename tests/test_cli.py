@@ -238,6 +238,27 @@ def test_cmd_test_non_finite_value_is_a_parse_error(capsys, tmp_path, text):
     assert ":3:" in err and "finite" in err
 
 
+def test_cmd_test_undecodable_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"value\n1.0\n2.0\n\xff\n" + b"3.0\n" * 10)
+    code, _, err = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv"])
+    assert code == 3
+    assert str(path) in err and "decode" in err
+
+
+@pytest.mark.parametrize("line", [0, 5])
+def test_cmd_test_undecodable_cache_is_a_format_error(capsys, cache_dir, gauss_csv,
+                                                      tmp_path, line):
+    # a non-ASCII byte in the header or in a draw
+    lines = (cache_dir / "full-ratio.snq").read_bytes().split(b"\n")
+    lines[line] += b"\xe9"
+    (tmp_path / "full-ratio.snq").write_bytes(b"\n".join(lines))
+    code, _, err = run_cli(capsys, ["test", "--input", str(gauss_csv), "--method", "full-v2",
+                                    "--null-cache", str(tmp_path)])
+    assert code == 3
+    assert str(tmp_path / "full-ratio.snq") in err and "ASCII" in err
+
+
 def test_cmd_test_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["test", "--input", str(tmp_path / "nope.csv"), "--method", "lrv"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, _sup, _time_rank, _whole_row, knot_of, make_block_config
+from sncusum.blocks import PartialSumGrid, _sup, _time_rank, knot_of, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -18,8 +18,9 @@ CFG4 = make_block_config(4, 2)
 
 
 def knot_row(x, cfg, k):
-    """The process at coarse knot ``k`` over all n+1 columns of the s-grid."""
-    return _whole_row(x, cfg, k * cfg.n_blocks)
+    """The process at coarse knot ``k`` over all n+1 columns of the s-grid,
+    by the masked reference."""
+    return oracles.masked_row(x, cfg, k * cfg.n_blocks)
 
 
 def contrast_rows(x, cfg, t0, t1):
@@ -217,8 +218,9 @@ def test_full_statistic_memory_is_linear():
 
 
 def full_length_ratio(u, cfg, t0, t1):
-    """The full ratio from whole rows: _whole_row, contrast_values and
-    _bridge_area over all n+1 columns at once, every numerator value scaled."""
+    """The full ratio from whole rows: the masked reference rows,
+    contrast_values and _bridge_area over all n+1 columns at once, every
+    numerator value scaled."""
     k0, k1, last = stats._knot_indices(cfg, t0, t1)
     early, mid, late = (knot_row(u, cfg, k) for k in (k0, k1, last))
     contrast = stats.contrast_values(early, mid, late, (k1 - k0) / (last - k0), cfg.n)
@@ -257,6 +259,35 @@ def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
             assert blocked[0][5] == blocked[1][5] == 0.0
 
 
+@pytest.mark.parametrize("block_bytes", [8, 8 * 40, 8 * 333])
+@pytest.mark.parametrize("n, block_length", [(61, 7), (100, 30), (257, 16), (1000, 30), (1000, 4)])
+def test_blocks_of_columns_hold_whole_blocks(monkeypatch, block_bytes, n, block_length):
+    # a budget below one block of the series, and budgets that are not a
+    # multiple of it; geometries with remainder positions, and with more
+    # knots than the block length (100, 30)
+    monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
+    x = boundary_series(7, n)
+    u, cfg = stats.unit_scaled(x), make_block_config(n, block_length)
+    for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
+        blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
+        assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
+        assert hexes(blocked[1]) == hexes(whole[1]), rule.test_id
+
+
+def test_full_rules_bits_when_remainder_ranks_enter_the_top_rows():
+    # pinned from the masked rows: n = 100 in 3 blocks of 30 has 33 knots, so
+    # the rows of the knots above 30 take the remainder ranks 91..99
+    x = np.random.default_rng(100).standard_normal(100)
+    x[50:] += 0.5
+    cfg = make_block_config(100, 30)
+    assert (cfg.n_blocks, cfg.n_knots) == (3, 33)
+    for (t0, t1), pinned in [((1 / 3, 2 / 3), "0x1.55595627a4ca9p+0"),
+                             ((1 / 3, 1 / 2), "0x1.6c060de1bc943p+1")]:
+        statistic = stats.full_statistic(x, cfg, t0, t1)
+        assert statistic.hex() == pinned
+        assert statistic == pytest.approx(oracles.full_statistic(x, cfg, t0, t1), rel=1e-12)
+
+
 def test_full_statistic_bits_at_n_200000():
     # pinned from full-length rows and bridge areas, before the blocked pass
     x = np.random.default_rng(2026).standard_normal(200_000)
@@ -293,7 +324,7 @@ def test_stacked_statistics_equal_the_single_series_calls():
     # first, so that the rules below would see any row it overwrote
     statistic, sigma2 = stats.cusum_lrv(u)
     q = nulldist.kolmogorov_quantile(0.95)
-    for row, value, variance, e in zip(x[:-1], statistic, sigma2, stats._exponent(x)):
+    for row, value, variance, e in zip(x[:-1], statistic, sigma2, stats._unit_scaled(x)[1]):
         single = stats.cusum_lrv_test(row, 0.05)
         assert np.ldexp(value, e).hex() == single.statistic.hex()
         assert np.ldexp(np.sqrt(variance) * q, e).hex() == single.threshold.hex()
