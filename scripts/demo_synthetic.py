@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from sncusum import nulldist, stats
-from sncusum.blocks import make_block_config
+from sncusum.blocks import as_series, make_block_config
 from sncusum.simulation import gen_errors, mean_value, sigma_value
 
 
@@ -25,14 +25,20 @@ def main() -> int:
     parser.add_argument("--out", default="demo_series.csv")
     args = parser.parse_args()
 
-    grid = np.arange(1, args.n + 1) / args.n
-    x = mean_value(args.mean, grid) + args.noise * sigma_value(2, grid) * gen_errors(
-        "ar", args.n, args.seed
-    )
+    # The series and every rule's geometry are checked before the CSV is
+    # written or any null is drawn.
+    try:
+        cfg = make_block_config(args.n)
+        for rule in stats.RULES.values():
+            rule.check(cfg)
+        grid = np.arange(1, args.n + 1) / args.n
+        x = as_series(mean_value(args.mean, grid) + args.noise * sigma_value(2, grid)
+                      * gen_errors("ar", args.n, args.seed))
+    except ValueError as exc:  # a length, mean id, seed or noise the run cannot use
+        parser.error(str(exc))
     Path(args.out).write_text("\n".join(repr(float(v)) for v in x) + "\n")
     print(f"series written to {args.out}", file=sys.stderr)
 
-    cfg = make_block_config(args.n)
     simple_null = nulldist.simulate_null(nulldist.SIMPLE_RATIO, 1000, 20_000, seed=1)
     full_null = nulldist.simulate_null(nulldist.FULL_RATIO, 1000, 20_000, seed=2)
 

@@ -8,7 +8,6 @@ while the second argument ``s`` controls the usual sample proportion.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -72,22 +71,6 @@ def permute_index(k: int, cfg: BlockConfig) -> int:
     if k > ell * b:
         return k
     return ((k - 1) % ell) * b + (k + ell - 1) // ell
-
-
-@lru_cache(maxsize=128)
-def _time_rank(cfg: BlockConfig) -> np.ndarray:
-    """1-based time rank of each 0-based sample position (the inverse of
-    ``permute_index``); cached and read-only.
-
-    Position p inside the blocks is element p % b of block p // b, which the
-    round-robin visits at time (p % b) * n_blocks + p // b + 1; positions
-    beyond the blocks are fixed points.
-    """
-    b, ell = cfg.block_length, cfg.n_blocks
-    p = np.arange(cfg.n)
-    rank = np.where(p < ell * b, (p % b) * ell + p // b + 1, p + 1)
-    rank.setflags(write=False)
-    return rank
 
 
 def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
@@ -204,17 +187,21 @@ def knot_of(cfg: BlockConfig, t: float) -> int:
 
 def _knot_margins(x: np.ndarray, cfg: BlockConfig) -> np.ndarray:
     """Coarsened process at s=1 for every knot (the time marginal), along the
-    last axis of ``x`` (one series or a stack of them)."""
-    # the first knot whose row includes each position; the last position
-    # of time rank n falls in bin ceil(n / n_blocks)
-    step = (_time_rank(cfg) + cfg.n_blocks - 1) // cfg.n_blocks
-    bins = -(-cfg.n // cfg.n_blocks) + 1
-    rows = x.reshape(-1, cfg.n)
-    # one bincount over all rows: row r owns bins r*bins .. r*bins + bins-1
-    index = step + bins * np.arange(len(rows))[:, None]
-    sums = np.bincount(index.ravel(), weights=rows.ravel())
-    sums = sums.reshape(x.shape[:-1] + (bins,))
-    return np.cumsum(sums, axis=-1)[..., : cfg.n_knots + 1] / cfg.n
+    last axis of ``x`` (one series or a stack of them).  Knot k <= b adds
+    offset k - 1 of every block, each later knot the next n_blocks remainder
+    positions, each in position order; the prefix sum over the knots starts
+    from +0.0, which turns a -0.0 knot sum into +0.0."""
+    b, ell, last = cfg.block_length, cfg.n_blocks, cfg.n_knots
+    lead = x.shape[:-1]
+    sums = np.zeros(lead + (last + 1,))
+    # Reduced over the block axis, whole blocks are added in turn only for
+    # b >= 2 (at b = 1 numpy sums pairwise); b = 1 leaves one knot, which
+    # _simple_ratio refuses before it asks for margins.
+    np.add.reduce(x[..., : ell * b].reshape(lead + (ell, b)), axis=-2, out=sums[..., 1 : b + 1])
+    if last > b:
+        rest = x[..., ell * b : last * ell].reshape(lead + (last - b, ell))
+        sums[..., b + 1 :] = np.cumsum(rest, axis=-1)[..., -1]
+    return np.cumsum(sums, axis=-1) / cfg.n
 
 
 class PartialSumGrid:

@@ -70,6 +70,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
 
 
+def _check_grid_steps(grid_steps: int) -> None:
+    if grid_steps < 100:
+        raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on: the size of its affinity mask where
     the platform has one, else the CPU count."""
@@ -275,8 +280,7 @@ def simulate_null(
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if grid_steps < 100:
-        raise ValueError(f"grid_steps must be >= 100, got {grid_steps}")
+    _check_grid_steps(grid_steps)
     if not 1000 <= replications <= MAX_REPLICATIONS:
         raise ValueError(f"replications must be in 1000..{MAX_REPLICATIONS}, got {replications}")
     _check_seed(seed)
@@ -421,6 +425,11 @@ def load_sample(
             raise CacheFormatError(f"unknown ratio kind {file_kind!r} in {path}")
         if file_n < 1:
             raise CacheFormatError(f"cache {path} claims N={file_n} draws; need at least 1")
+        try:  # the bounds simulate_null applies: no run writes other headers
+            _check_grid_steps(file_m)
+            _check_seed(file_seed)
+        except ValueError as exc:
+            raise CacheFormatError(f"cache {path} has impossible provenance: {exc}") from None
 
         for name, expected, actual in [
             ("kind", kind, file_kind),

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from sncusum.blocks import _time_rank, permute_index
+from sncusum.blocks import permute_index
 from sncusum.nulldist import SIMPLE_RATIO
 
 
@@ -27,13 +27,37 @@ def partial_sum(x, cfg, t, s):
     return total / cfg.n
 
 
+def time_rank(cfg):
+    """1-based time rank of each 0-based sample position, the inverse of
+    ``permute_index``: position p inside the blocks is element p % b of block
+    p // b, which the round-robin visits at time (p % b) * n_blocks + p // b + 1;
+    positions beyond the blocks are fixed points."""
+    b, ell = cfg.block_length, cfg.n_blocks
+    p = np.arange(cfg.n)
+    return np.where(p < ell * b, (p % b) * ell + p // b + 1, p + 1)
+
+
+def knot_margins(x, cfg):
+    """The process at s = 1 for every knot, along the last axis of ``x``, by
+    binning: each position goes to the first knot whose row holds it, one
+    bincount (each bin summed in position order from +0.0) over all rows, then
+    one prefix sum over the bins.  This is the bit-level reference of the
+    knot-margin kernel."""
+    step = (time_rank(cfg) + cfg.n_blocks - 1) // cfg.n_blocks
+    bins = -(-cfg.n // cfg.n_blocks) + 1  # rank n falls in bin ceil(n / n_blocks)
+    rows = x.reshape(-1, cfg.n)
+    index = step + bins * np.arange(len(rows))[:, None]  # row r owns bins r*bins ..
+    sums = np.bincount(index.ravel(), weights=rows.ravel()).reshape(x.shape[:-1] + (bins,))
+    return np.cumsum(sums, axis=-1)[..., : cfg.n_knots + 1] / cfg.n
+
+
 def masked_row(x, cfg, m):
     """The process at time cutoff ``m`` over all n+1 columns of the s-grid,
     along the last axis of ``x``, by its masked definition: every observation
     of time rank above m replaced by +0.0, one prefix sum from -0.0 (whose
     addition keeps every bit, so a plain cumsum), divided by n; column 0 is
     +0.0.  This is the bit-level reference of the row kernel."""
-    sums = np.cumsum(np.where(_time_rank(cfg) <= m, x, 0.0), axis=-1)
+    sums = np.cumsum(np.where(time_rank(cfg) <= m, x, 0.0), axis=-1)
     return np.concatenate([np.zeros(x.shape[:-1] + (1,)), sums / cfg.n], axis=-1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sncusum import blocks
+from sncusum import blocks, nulldist
 from sncusum.blocks import (
     BlockConfig,
     knot_of,
@@ -91,20 +91,21 @@ def test_permute_index_range_check():
 
 
 def test_permutation_bijection_exhaustive():
-    # every (n, block_length) up to n = 500
+    # the time rank, the reference of the row and margin kernels, is a
+    # permutation for every (n, block_length) up to n = 500
     for n in range(4, 501):
         for b in range(1, n + 1):
-            rank = blocks._time_rank(make_block_config(n, b))
+            rank = oracles.time_rank(make_block_config(n, b))
             counts = np.bincount(rank - 1, minlength=n)
             assert len(counts) == n and counts.min() == 1 and counts.max() == 1, (n, b)
 
 
 def test_permutation_matches_scalar_formula():
-    # _time_rank inverts permute_index for every (n, block_length) up to n = 60
+    # oracles.time_rank inverts permute_index for every (n, block_length) up to n = 60
     for n in range(4, 61):
         for b in range(1, n + 1):
             cfg = make_block_config(n, b)
-            rank = blocks._time_rank(cfg)
+            rank = oracles.time_rank(cfg)
             ranks = [rank[permute_index(k, cfg) - 1] for k in range(1, n + 1)]
             assert ranks == list(range(1, n + 1)), (n, b)
 
@@ -283,6 +284,33 @@ def test_grid_margins_and_coarse_value():
     assert knot_row(x, cfg, knot_of(cfg, 0.55))[20] == pytest.approx(
         oracles.coarse_partial_sum(x, cfg, 0.55, 0.4), abs=1e-14
     )
+
+
+def test_knot_margins_equal_the_binned_reference():
+    # every block length from 2 to n/4, so remainders of 0 to b - 1 positions
+    # and n_knots > b whenever the remainder holds a whole n_blocks of them
+    seen_extra_knots = 0
+    for n in (*range(8, 80), 100, 157, 500, 2003):
+        x = signed_zero_stack(n)
+        for b in range(2, n // 4 + 1):
+            cfg = make_block_config(n, b)
+            seen_extra_knots += cfg.n_knots > b
+            for data in (x, x[1]):
+                margins = blocks._knot_margins(data, cfg)
+                assert margins.shape == data.shape[:-1] + (cfg.n_knots + 1,)
+                assert margins.tobytes() == oracles.knot_margins(data, cfg).tobytes(), (n, b)
+    assert seen_extra_knots > 600
+
+
+@pytest.mark.parametrize("n, b", [(500, 10), (100, 30), (2003, 17)])
+def test_knot_margins_of_a_stack_equal_its_rows(n, b):
+    cfg = make_block_config(n, b)
+    x = np.random.default_rng(22).standard_normal((nulldist.block_rows(8 * n), n))
+    x[::2, ::3], x[1::2, 1::3] = -0.0, 0.0
+    margins = blocks._knot_margins(x, cfg)
+    assert margins.tobytes() == oracles.knot_margins(x, cfg).tobytes()
+    for row in (0, len(x) // 2, len(x) - 1):
+        assert margins[row].tobytes() == blocks._knot_margins(x[row], cfg).tobytes()
 
 
 def test_scale_equivariance_power_of_two_is_exact():

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import operator
 import os
+import re
 from pathlib import Path
 import subprocess
 import sys
@@ -458,6 +459,17 @@ def test_cache_rejects_corruption(tmp_path, null_simple_small):
     (tmp_path / "bad6.snq").write_text(empty + "\n")
     with pytest.raises(CacheFormatError, match="N=0"):
         load_sample(tmp_path / "bad6.snq")
+
+    # provenance no run could write: simulate_null needs grid_steps >= 100
+    # and a 64-bit unsigned seed
+    head = lines[0].split()
+    for i, (m, seed) in enumerate([(-5, -1), (0, 0), (99, 0), (100, -1), (100, 2**64),
+                                   (100, 99999999999999999999999)]):
+        bad = tmp_path / f"provenance{i}.snq"
+        header = " ".join(head[:3] + [f"m={m}", head[4], f"seed={seed}"])
+        bad.write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(CacheFormatError, match=re.escape(str(bad))):
+            load_sample(bad)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
 import dataclasses
 import importlib.util
+import os
 from pathlib import Path
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -480,6 +483,38 @@ def test_reproduce_tables_checks_the_geometry_before_any_null(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "usage:" in err and "series too short: n=20" in err and "simulating" not in err
     assert list(tmp_path.rglob("*.snq")) == []
+    assert not out.exists()
+
+
+def _demo_synthetic(*args):
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_synthetic.py"), *args],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_demo_synthetic_runs_all_four_tests(tmp_path):
+    out = tmp_path / "demo.csv"
+    proc = _demo_synthetic("--n", "200", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 200
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+        "sn_simple", "sn_full_v1", "sn_full_v2", "r_lrv"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "3"], "need n >= 4, got 3"),
+    (["--mean", "9"], "mean function id must be in 0..6, got 9"),
+    (["--n", "20"], "series too short: n=20"),  # a rule's geometry, not make_block_config
+], ids=["n3", "mean9", "n20"])
+def test_demo_synthetic_bad_arguments_are_usage_errors(tmp_path, flags, message):
+    out = tmp_path / "demo.csv"
+    proc = _demo_synthetic(*flags, "--out", str(out))
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not out.exists()
 
 
