@@ -2,10 +2,13 @@
 """Quick demo: simulate one drifting series and run all four tests on it.
 
 Writes the series to a CSV (reusable with `sn-cusum test --input ...`) and
-prints each test's statistic, threshold, p-value and decision.
+prints each test's statistic, threshold, p-value and decision.  A test whose
+statistic is degenerate (a constant series) is reported on its own line, and
+the script then exits 2, as `sn-cusum test` does.
 """
 
 import argparse
+from functools import partial
 from pathlib import Path
 import sys
 
@@ -13,6 +16,7 @@ import numpy as np
 
 from sncusum import nulldist, stats
 from sncusum.blocks import as_series, make_block_config
+from sncusum.errors import DegenerateStatisticError
 from sncusum.simulation import gen_errors, mean_value, sigma_value
 
 
@@ -39,22 +43,25 @@ def main() -> int:
     Path(args.out).write_text("\n".join(repr(float(v)) for v in x) + "\n")
     print(f"series written to {args.out}", file=sys.stderr)
 
-    simple_null = nulldist.simulate_null(nulldist.SIMPLE_RATIO, 1000, 20_000, seed=1)
-    full_null = nulldist.simulate_null(nulldist.FULL_RATIO, 1000, 20_000, seed=2)
-
-    outcomes = [
-        stats.decide_simple(x, cfg, 0.05, simple_null),
-        stats.decide_full(x, cfg, stats.TestParams.v1(), full_null),
-        stats.decide_full(x, cfg, stats.TestParams.v2(), full_null),
-        stats.cusum_lrv_test(x, 0.05),
-    ]
-    for out in outcomes:
+    nulls = {kind: nulldist.simulate_null(kind, 1000, 20_000, seed=seed)
+             for kind, seed in ((nulldist.SIMPLE_RATIO, 1), (nulldist.FULL_RATIO, 2))}
+    runs = {rule.test_id: partial(rule.decide, x, cfg, 0.05, nulls[rule.kind])
+            for rule in stats.RULES.values()}
+    runs[stats.METHOD_LRV] = partial(stats.cusum_lrv_test, x, 0.05)
+    degenerate = False
+    for method, run in runs.items():
+        try:
+            out = run()
+        except DegenerateStatisticError as exc:  # e.g. a constant series
+            print(f"{method:<10s} degenerate statistic: {exc}")
+            degenerate = True
+            continue
         print(
             f"{out.method:<10s} statistic={out.statistic:8.4f} "
             f"threshold={out.threshold:8.4f} p={out.p_value:6.4f} "
             f"reject={out.reject}"
         )
-    return 0
+    return 2 if degenerate else 0
 
 
 if __name__ == "__main__":

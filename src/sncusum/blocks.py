@@ -95,11 +95,16 @@ def _sup(values: np.ndarray) -> np.ndarray:
     return np.maximum(values.max(axis=-1), -values.min(axis=-1))
 
 
+def _exponent(x: np.ndarray) -> np.ndarray:
+    """e, the binary exponent of max|x| along the last axis (0 for a zero
+    row), kept as a last axis of length one: x times 2**-e lies in (-1, 1)."""
+    return np.frexp(_sup(x))[1][..., None]
+
+
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each series along the last axis of ``x`` times 2**-e, which lies in
-    (-1, 1), and e, the binary exponent of its max|x| (0 for a zero row)."""
-    e = np.frexp(_sup(x))[1]
-    return np.ldexp(x, -e[..., None]), e
+    """Each series along the last axis of ``x`` times 2**-e, and e."""
+    e = _exponent(x)
+    return np.ldexp(x, -e), e[..., 0]
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -119,11 +124,12 @@ def _carried_cumsum(values: np.ndarray, carry: np.ndarray) -> np.ndarray:
 
 
 def _held_prefix(xs: np.ndarray, out: np.ndarray, width: int, count: int, n: int,
-                 carry: np.ndarray) -> None:
+                 carry: np.ndarray, scratch: np.ndarray) -> None:
     """Fill ``out`` with the row over blocks of ``width`` positions of ``xs``
     that hold their first ``count``: their carried prefix sum over n, held over
-    the other offsets.  The masked row adds +0.0 (turning -0.0 to +0.0) at each
-    of those, so this adds it to the held values, the carry and later blocks."""
+    the other offsets; ``scratch``, as wide as ``xs``, takes the held prefixes.
+    The masked row adds +0.0 (turning -0.0 to +0.0) at each excluded offset,
+    so this adds it to the held values, the carry and later blocks."""
     count = min(max(count, 0), width)
     if count == width:  # nothing excluded: the plain prefix sum
         np.copyto(out, xs)
@@ -133,38 +139,44 @@ def _held_prefix(xs: np.ndarray, out: np.ndarray, width: int, count: int, n: int
     shape = xs.shape[:-1] + (-1, width)
     rows, held = out.reshape(shape), carry[..., None] / n
     if count:
-        head = xs.reshape(shape)[..., :count].copy()
+        flat = scratch[..., : xs.shape[-1] // width * count]
+        head = flat.reshape(shape[:-1] + (count,))
+        np.copyto(head, xs.reshape(shape)[..., :count])
         head[..., 1:, 0] += 0.0
-        _carried_cumsum(head.reshape(xs.shape[:-1] + (-1,)), carry)
-        head /= n
-        rows[..., :count], held = head, head[..., -1:]
-    rows[..., count:] = held + 0.0
+        _carried_cumsum(flat, carry)
+        np.divide(head, n, out=rows[..., :count])
+        held = rows[..., count - 1 : count]
+    np.add(held, 0.0, out=rows[..., count:])
     carry += 0.0
 
 
-def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int, hi: int,
-         carry: np.ndarray) -> np.ndarray:
-    """Process at s = j/n, lo <= j < hi, along the last axis of ``x``,
-    continuing from ``carry`` (lo - 1 a block boundary; hi - 1 one too, or n).
-    It sums the observations of time rank <= m = q * n_blocks + r: the first
-    q + 1 of the first r blocks, q of the others, remainder positions p < m."""
+def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int, carry: np.ndarray,
+         out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Process at s = j/n into ``out``, along the last axis of the chunk ``x``
+    of the series at positions lo - 1, lo, ... (lo - 1 a block boundary; the
+    chunk ends at one, or at n), continuing from ``carry``; ``scratch`` is as
+    wide as the chunk.  It sums the observations of time rank <= m =
+    q * n_blocks + r: the first q + 1 of the first r blocks, q of the others,
+    remainder positions p < m."""
     b, ell = cfg.block_length, cfg.n_blocks
     q, r = divmod(m, ell)
-    start, stop = lo - 1, hi - 1
+    start, stop = lo - 1, lo - 1 + x.shape[-1]
     tail = min(stop, ell * b)
     split = min(max(r * b, start), tail)
-    row = np.empty(x.shape[:-1] + (hi - lo,))
     for a, z, width, count in ((start, split, b, q + 1), (split, tail, b, q),
                                (tail, stop, cfg.n - ell * b, m - ell * b)):
         if a < z:
-            _held_prefix(x[..., a:z], row[..., a - start : z - start], width, count, cfg.n, carry)
-    return row
+            part = slice(a - start, z - start)
+            _held_prefix(x[..., part], out[..., part], width, count, cfg.n, carry,
+                         scratch[..., part])
+    return out
 
 
 def _whole_row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
     """``_row`` over all n+1 grid columns; column 0 (s = 0) is zero."""
-    row = _row(x, cfg, m, 1, cfg.n + 1, np.full(x.shape[:-1] + (1,), -0.0))
-    return np.concatenate([np.zeros(x.shape[:-1] + (1,)), row], axis=-1)
+    row = np.zeros(x.shape[:-1] + (cfg.n + 1,))
+    _row(x, cfg, m, 1, np.full(x.shape[:-1] + (1,), -0.0), row[..., 1:], np.empty(x.shape))
+    return row
 
 
 def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:

@@ -237,16 +237,15 @@ def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
 def _tally(x: np.ndarray, cfg, tests, thresholds: dict, alpha: float,
            rejections: dict, degenerate: dict) -> None:
     """Add the rejections and degenerate rows of a stack of series (one per
-    row, unit-scaled once for all tests) to the per-test counts; a test in
+    row, each kernel scaling it as it reads) to the per-test counts; a test in
     ``thresholds`` rejects above its threshold, the LRV test at level ``alpha``."""
-    u = stats.unit_scaled(x)
     for name in tests:
         if name in thresholds:
-            numerator, denominator = stats.RULES[name].ratio(u, cfg)
+            numerator, denominator = stats.RULES[name].ratio(x, cfg)
             valid = denominator != 0.0
             rejected = numerator[valid] / denominator[valid] > thresholds[name]
         else:
-            statistic, sigma2 = stats.cusum_lrv(u)
+            statistic, sigma2 = stats.cusum_lrv(x)
             valid = sigma2 != 0.0
             q = nulldist.kolmogorov_quantile(1.0 - alpha)
             rejected = statistic[valid] > np.sqrt(sigma2[valid]) * q

@@ -8,13 +8,12 @@ global long-run variance estimate serves as baseline.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
 
 import numpy as np
 
-from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _knot_margins,
-                            _row, _sup, _unit_scaled, as_series, knot_of)
+from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent,
+                            _knot_margins, _row, _sup, _unit_scaled, as_series, knot_of)
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 from sncusum import nulldist
 from sncusum.nulldist import NullSample
@@ -65,13 +64,13 @@ class Rule:
             return simple_statistic_from_grid(grid)
         return full_statistic_from_grid(grid, *self.splits)
 
-    def ratio(self, u: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
+    def ratio(self, x: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and self-normalizer of the statistic along the last axis of
-        ``unit_scaled`` series of geometry ``cfg``; the statistic is their
-        quotient where the self-normalizer is not zero."""
+        series of geometry ``cfg``, each read times 2**-e (``_exponent``); the
+        statistic is their quotient where the self-normalizer is not zero."""
         if self.splits is None:
-            return _simple_ratio(u, cfg)
-        return _full_ratio(u, cfg, *self.splits)
+            return _simple_ratio(x, cfg)
+        return _full_ratio(x, cfg, *self.splits)
 
     def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
         """Run the rule through ``decide_simple``, or ``decide_full`` with
@@ -118,23 +117,18 @@ class TestOutcome:
     reject: bool
 
 
-def _bridge_area(values: np.ndarray, n: int, lo: int, carry: np.ndarray) -> np.ndarray:
+def _bridge_area(values: np.ndarray, weights: np.ndarray, carry: np.ndarray,
+                 scratch: np.ndarray) -> np.ndarray:
     """Integrated deviation of a grid function f, f(0) = 0, from its chord
-    through 0 along the last axis: at each s = j/n, the Riemann sum over x in
-    {1/n, ..., j/n} of (f(x) - (x/s) f(s)) / n.  ``values`` holds f at the grid
-    columns lo, lo+1, ...; its running sum continues from ``carry``."""
-    out = _carried_cumsum(values.copy(), carry)
-    out -= values * (_half_steps(values.shape[-1]) + (lo + 1) / 2)  # exact halves
-    out /= n
-    return out
-
-
-@lru_cache(maxsize=8)
-def _half_steps(width: int) -> np.ndarray:
-    """0, 1/2, ..., (width - 1)/2, read-only: the bridge weights less their offset."""
-    steps = np.arange(width) / 2.0
-    steps.setflags(write=False)
-    return steps
+    through 0 along the last axis, times n, in place: at each s = j/n, the
+    sum over x in {1/n, ..., j/n} of f(x) - (x/s) f(s).  ``values`` holds f
+    at consecutive grid columns j and ``weights`` (j + 1)/2 at them; the
+    running sum continues from ``carry``, and ``scratch`` takes f times the
+    weights."""
+    np.multiply(values, weights, out=scratch)
+    _carried_cumsum(values, carry)
+    values -= scratch
+    return values
 
 
 def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int]:
@@ -148,51 +142,58 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
-def unit_scaled(x: np.ndarray) -> np.ndarray:
-    """``_unit_scaled`` without its exponent: the units in which all four tests
-    decide, where no sum overflows and tiny data keep their bits."""
-    return _unit_scaled(x)[0]
-
-
-def _simple_ratio(u: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
+def _simple_ratio(x: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
     """Simple ratio's numerator (plain partial sums) and self-normalizer (knot
-    margins) along the last axis of unit-scaled series."""
+    margins) along the last axis of series times 2**-e."""
     last = cfg.n_knots
     if last < 2:
         raise ConfigurationError(
             f"need at least 2 coarse steps, got {last} for n={cfg.n}"
         )
+    u = _unit_scaled(x)[0]
     numerator = _sup(np.cumsum(u, axis=-1)) / cfg.n
     margins = _knot_margins(u, cfg)
     scaled = np.arange(last) / (last - 1)  # rescaled time at knots 1..last
     return numerator, _sup(margins[..., 1:] - scaled * margins[..., last, None])
 
 
-def _full_ratio(u: np.ndarray, cfg: BlockConfig, t0: float,
+def _full_ratio(x: np.ndarray, cfg: BlockConfig, t0: float,
                 t1: float) -> tuple[np.ndarray, np.ndarray]:
     """Full ratio's numerator and self-normalizer from the process rows at
-    knots k0, k1 and last, along the last axis of unit-scaled series.
+    knots k0, k1 and last, along the last axis of series times 2**-e.
 
     One pass over the grid columns 1..n (column 0 is zero) in chunks of whole
-    blocks, as many columns as ``nulldist.block_rows`` fits for the stack:
-    each chunk carries the five prefix sums of the three rows, the contrast
-    and both bridge areas on to the next, so every value has the bits of the
-    full-length rows, and each supremum is the largest chunk supremum.
+    blocks, as many columns as ``nulldist.block_rows`` fits for the stack,
+    each scaled as it is read into a workspace made once per call: the
+    chunk, the three rows (the k1 row takes the contrast) and one temporary.
+    Each chunk carries the five prefix sums of the three rows and both bridge
+    areas on to the next, so every value has the bits of the full-length
+    rows.  Each supremum is the largest chunk supremum, divided by n once:
+    rounding is monotone, so that has the bits of dividing every value.
     """
     k0, k1, last = _knot_indices(cfg, t0, t1)
     ratio = (k1 - k0) / (last - k0)
-    b, ell = cfg.block_length, cfg.n_blocks
-    width = max(1, nulldist.block_rows(8 * (u.size // cfg.n)) // b) * b
-    bounds = [*range(1, ell * b + 1, width), cfg.n + 1]
-    carries = np.full((5,) + u.shape[:-1] + (1,), -0.0)
+    b, ell, n = cfg.block_length, cfg.n_blocks, cfg.n
+    width = max(1, nulldist.block_rows(8 * (x.size // n)) // b) * b
+    bounds = [*range(1, ell * b + 1, width), n + 1]
+    span = max(hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]))
+    weights = np.arange(2.0, span + 2) / 2  # (j + 1)/2 at the columns j = 1, 2, ...
+    scale = -_exponent(x)
+    carries = np.full((5,) + x.shape[:-1] + (1,), -0.0)
+    chunk, early, mid, late, scratch = np.empty((5,) + x.shape[:-1] + (span,))
     numerator = denominator = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        early = _row(u, cfg, k0 * ell, lo, hi, carries[0])
-        numerator = np.maximum(numerator, _sup(_bridge_area(early, cfg.n, lo, carries[1])))
-        contrast = contrast_values(early, _row(u, cfg, k1 * ell, lo, hi, carries[2]),
-                                   _row(u, cfg, last * ell, lo, hi, carries[3]), ratio, cfg.n)
-        denominator = np.maximum(denominator, _sup(_bridge_area(contrast, cfg.n, lo, carries[4])))
-    return numerator * math.sqrt(cfg.n), denominator
+        w = hi - lo
+        xs, tmp = np.ldexp(x[..., lo - 1 : hi - 1], scale, out=chunk[..., :w]), scratch[..., :w]
+        rows = [_row(xs, cfg, k * ell, lo, carry, row[..., :w], tmp)
+                for k, carry, row in zip((k0, k1, last), carries, (early, mid, late))]
+        contrast = contrast_values(*rows, ratio, n)
+        area = _bridge_area(rows[0], weights[:w], carries[3], tmp)
+        numerator = np.maximum(numerator, _sup(area))
+        area = _bridge_area(contrast, weights[:w], carries[4], tmp)
+        denominator = np.maximum(denominator, _sup(area))
+        weights += w / 2  # exact: halves of integers
+    return numerator / n * math.sqrt(n), denominator / n
 
 
 def _quotient(numerator, denominator, what: str) -> float:
@@ -203,26 +204,27 @@ def _quotient(numerator, denominator, what: str) -> float:
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
     """Simple ratio statistic from the plain partial sums and the knot margins."""
-    return _quotient(*_simple_ratio(unit_scaled(grid.x), grid.cfg), "constant-zero")
+    return _quotient(*_simple_ratio(grid.x, grid.cfg), "constant-zero")
 
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
-    return _quotient(*_full_ratio(unit_scaled(grid.x), grid.cfg, t0, t1), "constant")
+    return _quotient(*_full_ratio(grid.x, grid.cfg, t0, t1), "constant")
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
                     ratio: float, n: int) -> np.ndarray:
     """Between-knot contrast on the s-grid, from the rows at knots k0, k1 and
-    last: the slice increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0)
-    times the increment from k0 to the last knot.  Columnwise, so it takes any
-    block of columns of the three rows."""
-    out = mid - early
-    step = late - early
-    step *= ratio
-    out -= step
-    out *= math.sqrt(n)
-    return out
+    last, in place of ``mid`` (``late`` is overwritten too): the slice
+    increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0) times the
+    increment from k0 to the last knot.  Columnwise, so it takes any block of
+    columns of the three rows."""
+    mid -= early
+    late -= early
+    late *= ratio
+    mid -= late
+    mid *= math.sqrt(n)
+    return mid
 
 
 def simple_statistic(x, cfg: BlockConfig) -> float:
@@ -265,36 +267,55 @@ def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> Te
     return _decide(params.rule, x, cfg, params.alpha, null)
 
 
-def cusum_lrv(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CUSUM statistic and long-run variance estimate sigma2 along the last
-    axis of ``unit_scaled`` series, in the units of ``u``; sigma2 = 0 makes
-    the test degenerate.
+    axis of series, in the units of each times 2**-e (``_exponent``); sigma2 =
+    0 makes the test degenerate.
 
     The estimate averages the squared difference of adjacent length-m window
     sums over all start positions, scaled by 1/(2m), with m = floor(n**(1/3)).
     """
-    n = u.shape[-1]
+    return _cusum_lrv(x, _exponent(x))
+
+
+def _cusum_lrv(x: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """``cusum_lrv`` of x times 2**-e, scaled as it is read into the first of
+    two n-sized buffers of one allocation; the second holds the prefix sums,
+    then the sums of the window differences, and the first then the squared
+    window sums.  The line (j/n) S_n is taken a chunk of columns at a time."""
+    n = x.shape[-1]
     m = max(1, int(n ** (1.0 / 3.0) + 1e-9))
-    # one buffer holds both cumulative sums, so that large n touches fewer fresh pages
-    csum = np.empty(u.shape[:-1] + (n + 1,))
+    buffer = np.empty(x.shape[:-1] + (2 * n + 1,))
+    u, csum = buffer[..., :n], buffer[..., n:]
+    np.ldexp(x, -e, out=u)
+    sums = np.cumsum(u, axis=-1, out=csum[..., 1:])
+    width = min(nulldist.block_rows(8 * (x.size // n)), n)
+    ramp = np.arange(1.0, width + 1)  # j at the chunk's columns
+    line = np.empty(x.shape[:-1] + (width,))
+    statistic = 0.0
+    for lo in range(0, n, width):
+        part = np.divide(ramp[: n - lo], n, out=line[..., : n - lo])
+        part *= sums[..., -1:]
+        np.subtract(sums[..., lo : lo + width], part, out=part)
+        statistic = np.maximum(statistic, _sup(part))
+        ramp += width
     csum[..., 0] = 0.0
     # summing u[i+j] - u[i+m+j] keeps constant series at exactly zero
     steps = np.subtract(u[..., : n - m], u[..., m:], out=csum[..., 1 : n - m + 1])
     np.cumsum(steps, axis=-1, out=steps)
-    windows = csum[..., m : n - m + 1] - csum[..., : n - 2 * m + 1]
+    # one whole array, so that np.mean sums it pairwise as one
+    windows = np.subtract(csum[..., m : n - m + 1], csum[..., : n - 2 * m + 1],
+                          out=u[..., : n - 2 * m + 1])
     windows *= windows
-    sigma2 = np.mean(windows, axis=-1) / (2 * m)
-    del windows
-    sums = np.cumsum(u, axis=-1, out=csum[..., 1:])
-    sums -= np.arange(1.0, n + 1) / n * sums[..., -1:]
-    return _sup(sums) / math.sqrt(n), sigma2
+    return statistic / math.sqrt(n), np.mean(windows, axis=-1) / (2 * m)
 
 
 def lrv_estimate(x) -> float:
     """Difference-based global long-run variance estimate of ``cusum_lrv``,
     taken of the series times 2**-e and scaled back by 4**e."""
-    u, e = _unit_scaled(as_series(x))
-    return float(np.ldexp(cusum_lrv(u)[1], 2 * int(e)))
+    x = as_series(x)
+    e = int(_exponent(x)[0])
+    return float(np.ldexp(_cusum_lrv(x, e)[1], 2 * e))
 
 
 def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
@@ -306,14 +327,15 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    u, e = _unit_scaled(as_series(x))
-    statistic, sigma2 = map(float, cusum_lrv(u))
+    x = as_series(x)
+    e = int(_exponent(x)[0])
+    statistic, sigma2 = map(float, _cusum_lrv(x, e))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
     sigma = math.sqrt(sigma2)
     q = nulldist.kolmogorov_quantile(1.0 - alpha)
     try:
-        statistic_x, threshold_x = math.ldexp(statistic, int(e)), math.ldexp(sigma * q, int(e))
+        statistic_x, threshold_x = math.ldexp(statistic, e), math.ldexp(sigma * q, e)
     except OverflowError:
         raise ConfigurationError(
             "the LRV-CUSUM statistic or threshold exceeds the float range in the "

@@ -504,6 +504,17 @@ def test_demo_synthetic_runs_all_four_tests(tmp_path):
         "sn_simple", "sn_full_v1", "sn_full_v2", "r_lrv"]
 
 
+def test_demo_synthetic_reports_each_degenerate_test(tmp_path):
+    # a constant zero series: every self-normalizer and the variance estimate are zero
+    out = tmp_path / "demo.csv"
+    proc = _demo_synthetic("--n", "100", "--mean", "0", "--noise", "0", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["sn_simple", "sn_full_v1", "sn_full_v2", "r_lrv"]
+    assert all("degenerate statistic" in line for line in lines)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--n", "3"], "need n >= 4, got 3"),
     (["--mean", "9"], "mean function id must be in 0..6, got 9"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, _sup, knot_of, make_block_config
+from sncusum.blocks import PartialSumGrid, _sup, _unit_scaled, knot_of, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -31,8 +31,12 @@ def contrast_rows(x, cfg, t0, t1):
 
 
 def whole_area(values, n):
-    """Bridge area over all n+1 columns of ``values``: lo = 0, a fresh carry."""
-    return stats._bridge_area(values, n, 0, np.full(values.shape[:-1] + (1,), -0.0))
+    """Bridge area over all n+1 columns of ``values``, each value over n: one
+    prefix sum less the values times their weights (j + 1)/2."""
+    area = np.cumsum(values, axis=-1)
+    area -= values * (np.arange(values.shape[-1]) / 2.0 + 0.5)
+    area /= n
+    return area
 
 
 def numerator_values(early, n):
@@ -234,10 +238,64 @@ def test_simple_statistic_keeps_no_memory_per_geometry():
     assert peak < 2 * 8 * n + 2**17
 
 
+def test_full_statistic_works_in_a_chunk_sized_workspace():
+    # each chunk of the series is scaled as it is read, so the peak is the
+    # workspace of five chunk-wide buffers and the bridge weights, whatever n
+    for n in (200_000, 800_000):
+        x = np.random.default_rng(1).standard_normal(n)
+        cfg = make_block_config(n)
+        stats.full_statistic(x, cfg, 1 / 3, 1 / 2)
+        tracemalloc.start()
+        try:
+            stats.full_statistic(x, cfg, 1 / 3, 1 / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, n
+
+
+def test_cusum_lrv_test_holds_two_series_sized_buffers():
+    # the prefix sums and one more n-sized buffer, plus chunk-sized pieces
+    n = 200_000
+    x = np.random.default_rng(3).standard_normal(n)
+    stats.cusum_lrv_test(x, 0.05)
+    tracemalloc.start()
+    try:
+        stats.cusum_lrv_test(x, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n + 2**20
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block_bytes", [None, 8 * 40])
+def test_kernels_read_raw_and_unit_scaled_stacks_alike(monkeypatch, block_bytes):
+    # rows scaled by 2**1000, 2**-1060 (subnormal) and 1, with +0.0 and -0.0
+    # planted: the kernels scale each row as they read it, so the raw stack,
+    # its unit-scaled stack (exponent 0) and each row alone give the same
+    # bytes, in one chunk and in chunks of one block (the stack) or three
+    if block_bytes is not None:
+        monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
+    n = 600
+    plain = np.random.default_rng(20).standard_normal((3, n)) + np.array([[0.0], [0.3], [-0.7]])
+    x = np.vstack([np.ldexp(plain[0], 1000), np.ldexp(plain[1], -1060), plain[2]])
+    x[:, ::7] = 0.0
+    x[:, 3::11] = -0.0
+    cfg = make_block_config(n)
+    kernels = [lambda values, rule=rule: rule.ratio(values, cfg) for rule in stats.RULES.values()]
+    for kernel in (*kernels, stats.cusum_lrv):
+        raw, scaled = kernel(x), kernel(_unit_scaled(x)[0])
+        rows = [kernel(row) for row in x]
+        for i, values in enumerate(raw):
+            assert values.tobytes() == scaled[i].tobytes()
+            assert values.tobytes() == np.array([row[i] for row in rows]).tobytes()
+
+
 def full_length_ratio(u, cfg, t0, t1):
     """The full ratio from whole rows: the masked reference rows,
-    contrast_values and _bridge_area over all n+1 columns at once, every
-    numerator value scaled."""
+    contrast_values and ``whole_area`` over all n+1 columns at once, every
+    value divided and every numerator value scaled."""
     k0, k1, last = stats._knot_indices(cfg, t0, t1)
     early, mid, late = (knot_row(u, cfg, k) for k in (k0, k1, last))
     contrast = stats.contrast_values(early, mid, late, (k1 - k0) / (last - k0), cfg.n)
@@ -267,7 +325,7 @@ def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
     # it, and n over four blocks, the last a remainder
     n = blocks * (nulldist._BLOCK_BYTES // (8 * rows)) + extra
     x = boundary_series(rows, n)
-    u, cfg = stats.unit_scaled(x), make_block_config(n)
+    u, cfg = _unit_scaled(x)[0], make_block_config(n)
     for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
         blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
         assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
@@ -284,7 +342,7 @@ def test_blocks_of_columns_hold_whole_blocks(monkeypatch, block_bytes, n, block_
     # knots than the block length (100, 30)
     monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
     x = boundary_series(7, n)
-    u, cfg = stats.unit_scaled(x), make_block_config(n, block_length)
+    u, cfg = _unit_scaled(x)[0], make_block_config(n, block_length)
     for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
         blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
         assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
@@ -337,11 +395,11 @@ def test_stacked_statistics_equal_the_single_series_calls():
     x = stack_rows()
     cfg = make_block_config(250)
     assert cfg.n % cfg.block_length
-    u = stats.unit_scaled(x)
+    u = _unit_scaled(x)[0]
     # first, so that the rules below would see any row it overwrote
     statistic, sigma2 = stats.cusum_lrv(u)
     q = nulldist.kolmogorov_quantile(0.95)
-    for row, value, variance, e in zip(x[:-1], statistic, sigma2, stats._unit_scaled(x)[1]):
+    for row, value, variance, e in zip(x[:-1], statistic, sigma2, _unit_scaled(x)[1]):
         single = stats.cusum_lrv_test(row, 0.05)
         assert np.ldexp(value, e).hex() == single.statistic.hex()
         assert np.ldexp(np.sqrt(variance) * q, e).hex() == single.threshold.hex()
