@@ -83,7 +83,7 @@ def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
         raise ValueError(f"series must be 1-dimensional, got shape {x.shape}")
     if x.size < 4:
         raise ValueError(f"series too short: n={x.size} < 4")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("series contains non-finite values")
     if cfg is not None and x.size != cfg.n:
         raise ValueError(f"series length {x.size} does not match n={cfg.n}")
@@ -91,8 +91,8 @@ def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
 
 
 def _sup(values: np.ndarray) -> np.ndarray:
-    """max |values| along the last axis."""
-    return np.maximum(values.max(axis=-1), -values.min(axis=-1))
+    """max |values| along the last axis, by ufunc reduces (no method wrappers)."""
+    return np.maximum(np.maximum.reduce(values, axis=-1), -np.minimum.reduce(values, axis=-1))
 
 
 def _exponent(x: np.ndarray) -> np.ndarray:
@@ -118,7 +118,7 @@ def _carried_cumsum(values: np.ndarray, carry: np.ndarray) -> np.ndarray:
     left holding the new one: blocks summed in turn give the bits of one whole
     prefix sum.  A fresh carry is -0.0, whose addition keeps every bit."""
     values[..., :1] += carry
-    np.cumsum(values, axis=-1, out=values)
+    np.add.accumulate(values, axis=-1, out=values)
     carry[...] = values[..., -1:]
     return values
 
@@ -197,23 +197,22 @@ def knot_of(cfg: BlockConfig, t: float) -> int:
     return _floor_index(t * cfg.n) // cfg.n_blocks
 
 
-def _knot_margins(x: np.ndarray, cfg: BlockConfig) -> np.ndarray:
-    """Coarsened process at s=1 for every knot (the time marginal), along the
-    last axis of ``x`` (one series or a stack of them).  Knot k <= b adds
-    offset k - 1 of every block, each later knot the next n_blocks remainder
-    positions, each in position order; the prefix sum over the knots starts
-    from +0.0, which turns a -0.0 knot sum into +0.0."""
+def _knot_sums(xs: np.ndarray, cfg: BlockConfig, lo: int, sums: np.ndarray) -> None:
+    """Add the chunk ``xs`` (as in ``_row``) to ``sums``, whose prefix sum over
+    knots 0..n_knots is the process at s = 1 times n: knot k <= b sums offset
+    k - 1 of every block, each later knot the next n_blocks remainder
+    positions, in position order.  Past the first chunk, the first block takes
+    the running sums in place (``xs`` changes) and the blocks continue them."""
     b, ell, last = cfg.block_length, cfg.n_blocks, cfg.n_knots
-    lead = x.shape[:-1]
-    sums = np.zeros(lead + (last + 1,))
-    # Reduced over the block axis, whole blocks are added in turn only for
-    # b >= 2 (at b = 1 numpy sums pairwise); b = 1 leaves one knot, which
-    # _simple_ratio refuses before it asks for margins.
-    np.add.reduce(x[..., : ell * b].reshape(lead + (ell, b)), axis=-2, out=sums[..., 1 : b + 1])
-    if last > b:
-        rest = x[..., ell * b : last * ell].reshape(lead + (last - b, ell))
+    lead, start = xs.shape[:-1], lo - 1
+    head = xs[..., : min(xs.shape[-1], ell * b - start)]
+    if start:
+        head[..., :b] += sums[..., 1 : b + 1]
+    # numpy adds whole blocks in turn for b >= 2 (b = 1, one knot, is refused)
+    np.add.reduce(head.reshape(lead + (-1, b)), axis=-2, out=sums[..., 1 : b + 1])
+    if last > b and start + xs.shape[-1] == cfg.n:  # the chunk holds the remainder
+        rest = xs[..., ell * b - start : last * ell - start].reshape(lead + (last - b, ell))
         sums[..., b + 1 :] = np.cumsum(rest, axis=-1)[..., -1]
-    return np.cumsum(sums, axis=-1) / cfg.n
 
 
 class PartialSumGrid:

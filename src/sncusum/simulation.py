@@ -234,21 +234,23 @@ def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
     return mean + scale * eps
 
 
-def _tally(x: np.ndarray, cfg, tests, thresholds: dict, alpha: float,
-           rejections: dict, degenerate: dict) -> None:
+def _tally(x: np.ndarray, cfg, tests, thresholds: dict, rejections: dict,
+           degenerate: dict) -> None:
     """Add the rejections and degenerate rows of a stack of series (one per
-    row, each kernel scaling it as it reads) to the per-test counts; a test in
-    ``thresholds`` rejects above its threshold, the LRV test at level ``alpha``."""
+    row, each kernel scaling it as it reads) to the per-test counts; one walk
+    serves every rule, and the LRV test rejects above sigma times its critical
+    value in ``thresholds``."""
+    rules = [name for name in tests if name in stats.RULES]
+    ratios = stats._ratios(x, cfg, [stats.RULES[name].splits for name in rules]) if rules else []
     for name in tests:
-        if name in thresholds:
-            numerator, denominator = stats.RULES[name].ratio(x, cfg)
+        if name in stats.RULES:
+            numerator, denominator = ratios[rules.index(name)]
             valid = denominator != 0.0
             rejected = numerator[valid] / denominator[valid] > thresholds[name]
         else:
             statistic, sigma2 = stats.cusum_lrv(x)
             valid = sigma2 != 0.0
-            q = nulldist.kolmogorov_quantile(1.0 - alpha)
-            rejected = statistic[valid] > np.sqrt(sigma2[valid]) * q
+            rejected = statistic[valid] > np.sqrt(sigma2[valid]) * thresholds[name]
         degenerate[name] += len(x) - int(np.count_nonzero(valid))
         rejections[name] += int(np.count_nonzero(rejected))
 
@@ -268,7 +270,7 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
             row[:] = gen_series(scenario, rep, stream)
         if not np.isfinite(x).all():  # c_sigma near the float limit overflows
             raise ValueError("series contains non-finite values")
-        _tally(x, cfg, tests, thresholds, scenario.alpha, rejections, degenerate)
+        _tally(x, cfg, tests, thresholds, rejections, degenerate)
     return rejections, degenerate
 
 
@@ -307,10 +309,10 @@ def run_grid(
 ) -> list[ScenarioResult]:
     """Run a list of scenarios through one worker pool.
 
-    The rules are checked against every cell and its thresholds looked up here,
-    so a geometry, null sample or level the run cannot use fails before any
-    worker starts.  Each task is one (cell, replication range) pair carrying
-    the cell's thresholds.
+    The rules are checked against every cell and its thresholds looked up here
+    (for the LRV test, its critical value), so a geometry, null sample or level
+    the run cannot use fails before any worker starts.  Each task is one (cell,
+    replication range) pair carrying the cell's thresholds.
     """
     scenarios = list(scenarios)
     tests = tuple(tests)
@@ -322,6 +324,8 @@ def run_grid(
     for index, scenario in enumerate(scenarios):
         thresholds = {rule.test_id: rule.threshold(nulls[rule.kind], scenario.alpha)[1]
                       for rule in rules}
+        if stats.METHOD_LRV in tests:
+            thresholds[stats.METHOD_LRV] = stats.lrv_critical_value(scenario.alpha)
         bounds = plan_chunks(scenario.replications, workers, min_chunk=_MIN_RANGE)
         for start, stop in zip(bounds[:-1], bounds[1:]):
             tasks.append((scenario, tests, thresholds, start, stop))

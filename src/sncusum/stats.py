@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent,
-                            _knot_margins, _row, _sup, _unit_scaled, as_series, knot_of)
+from sncusum.blocks import (BlockConfig, PartialSumGrid, _carried_cumsum, _exponent, _knot_sums,
+                            _row, _sup, as_series, knot_of)
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 from sncusum import nulldist
 from sncusum.nulldist import NullSample
@@ -66,11 +66,8 @@ class Rule:
 
     def ratio(self, x: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and self-normalizer of the statistic along the last axis of
-        series of geometry ``cfg``, each read times 2**-e (``_exponent``); the
-        statistic is their quotient where the self-normalizer is not zero."""
-        if self.splits is None:
-            return _simple_ratio(x, cfg)
-        return _full_ratio(x, cfg, *self.splits)
+        series of geometry ``cfg``: the one-test call of ``_ratios``."""
+        return _ratios(x, cfg, [self.splits])[0]
 
     def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
         """Run the rule through ``decide_simple``, or ``decide_full`` with
@@ -142,58 +139,65 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
-def _simple_ratio(x: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Simple ratio's numerator (plain partial sums) and self-normalizer (knot
-    margins) along the last axis of series times 2**-e."""
-    last = cfg.n_knots
-    if last < 2:
-        raise ConfigurationError(
-            f"need at least 2 coarse steps, got {last} for n={cfg.n}"
-        )
-    u = _unit_scaled(x)[0]
-    numerator = _sup(np.cumsum(u, axis=-1)) / cfg.n
-    margins = _knot_margins(u, cfg)
-    scaled = np.arange(last) / (last - 1)  # rescaled time at knots 1..last
-    return numerator, _sup(margins[..., 1:] - scaled * margins[..., last, None])
-
-
-def _full_ratio(x: np.ndarray, cfg: BlockConfig, t0: float,
-                t1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full ratio's numerator and self-normalizer from the process rows at
-    knots k0, k1 and last, along the last axis of series times 2**-e.
-
-    One pass over the grid columns 1..n (column 0 is zero) in chunks of whole
-    blocks, as many columns as ``nulldist.block_rows`` fits for the stack,
-    each scaled as it is read into a workspace made once per call: the
-    chunk, the three rows (the k1 row takes the contrast) and one temporary.
-    Each chunk carries the five prefix sums of the three rows and both bridge
-    areas on to the next, so every value has the bits of the full-length
-    rows.  Each supremum is the largest chunk supremum, divided by n once:
-    rounding is monotone, so that has the bits of dividing every value.
-    """
-    k0, k1, last = _knot_indices(cfg, t0, t1)
-    ratio = (k1 - k0) / (last - k0)
-    b, ell, n = cfg.block_length, cfg.n_blocks, cfg.n
+def _ratios(x: np.ndarray, cfg: BlockConfig, tests) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Numerator and self-normalizer of each of ``tests`` (a full rule's split
+    points, or None for the simple rule) along the last axis of series of
+    geometry ``cfg``, each read times 2**-e (``_exponent``); the statistic is
+    their quotient where the self-normalizer is not zero.  One pass over chunks
+    of whole blocks (``block_rows`` for the stack) through a workspace made
+    once per call: the chunk, scaled as it is read, a temporary and one row
+    per distinct knot, which the rules share.  Every prefix sum carries on to
+    the next chunk, so every value has the bits of the full-length rows; each
+    supremum is the largest chunk supremum, divided by n once."""
+    b, ell, n, last = cfg.block_length, cfg.n_blocks, cfg.n, cfg.n_knots
+    triples = [None if splits is None else _knot_indices(cfg, *splits) for splits in tests]
+    simple = None in triples
+    if simple and last < 2:
+        raise ConfigurationError(f"need at least 2 coarse steps, got {last} for n={n}")
+    full = list(dict.fromkeys(filter(None, triples)))  # each contrast once
+    knots = sorted({k for t in full for k in t})
     width = max(1, nulldist.block_rows(8 * (x.size // n)) // b) * b
     bounds = [*range(1, ell * b + 1, width), n + 1]
-    span = max(hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]))
-    weights = np.arange(2.0, span + 2) / 2  # (j + 1)/2 at the columns j = 1, 2, ...
+    span = max(bounds[1] - bounds[0], bounds[-1] - bounds[-2])  # the others are as wide
+    lead = x.shape[:-1]
+    chunk, scratch, *rows = np.empty((2 + len(knots),) + lead + (span,))
+    if simple:  # the simple rule's supremum, running sum and knot sums
+        prefix, running, sums = 0.0, np.full(lead + (1,), -0.0), np.zeros(lead + (last + 1,))
+    if full:
+        early = sorted({t[0] for t in full})  # each numerator once
+        tops = [0.0] * (len(full) + len(early))  # the contrasts' bridge areas, the numerators'
+        carries = np.full((len(tops) + len(knots),) + lead + (1,), -0.0)  # theirs, the rows'
+        weights = np.arange(2.0, span + 2)
+        weights /= 2  # (j + 1)/2 at the columns j = 1, 2, ...
     scale = -_exponent(x)
-    carries = np.full((5,) + x.shape[:-1] + (1,), -0.0)
-    chunk, early, mid, late, scratch = np.empty((5,) + x.shape[:-1] + (span,))
-    numerator = denominator = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         w = hi - lo
         xs, tmp = np.ldexp(x[..., lo - 1 : hi - 1], scale, out=chunk[..., :w]), scratch[..., :w]
-        rows = [_row(xs, cfg, k * ell, lo, carry, row[..., :w], tmp)
-                for k, carry, row in zip((k0, k1, last), carries, (early, mid, late))]
-        contrast = contrast_values(*rows, ratio, n)
-        area = _bridge_area(rows[0], weights[:w], carries[3], tmp)
-        numerator = np.maximum(numerator, _sup(area))
-        area = _bridge_area(contrast, weights[:w], carries[4], tmp)
-        denominator = np.maximum(denominator, _sup(area))
-        weights += w / 2  # exact: halves of integers
-    return numerator / n * math.sqrt(n), denominator / n
+        if full:
+            built = {k: _row(xs, cfg, k * ell, lo, carry, row[..., :w], tmp)
+                     for k, carry, row in zip(knots, carries[len(tops):], rows)}
+        if simple:  # the knot sums, then the prefix sum in place of the chunk
+            _knot_sums(xs, cfg, lo, sums)
+            if lo > 1:  # past the first chunk, its first block took the running sums
+                np.ldexp(x[..., lo - 1 : lo - 1 + b], scale, out=xs[..., :b])
+            prefix = np.maximum(prefix, _sup(_carried_cumsum(xs, running)))
+        if full:  # each contrast into the chunk, then the numerators in place of the k0 rows
+            for i, (k0, k1, _) in enumerate(full):
+                contrast = contrast_values(built[k0], built[k1], built[last],
+                                           (k1 - k0) / (last - k0), n, xs, tmp)
+                tops[i] = np.maximum(tops[i], _sup(_bridge_area(contrast, weights[:w], carries[i],
+                                                                tmp)))
+            for i, k0 in enumerate(early, len(full)):
+                tops[i] = np.maximum(tops[i], _sup(_bridge_area(built[k0], weights[:w], carries[i],
+                                                                tmp)))
+            weights += w / 2  # exact: halves of integers
+    if simple:
+        margins = np.add.accumulate(sums, axis=-1) / n
+        scaled = np.arange(last) / (last - 1)  # rescaled time at knots 1..last
+        sn = _sup(margins[..., 1:] - scaled * margins[..., last, None])
+    return [(prefix / n, sn) if t is None else
+            (tops[len(full) + early.index(t[0])] / n * math.sqrt(n), tops[full.index(t)] / n)
+            for t in triples]
 
 
 def _quotient(numerator, denominator, what: str) -> float:
@@ -204,27 +208,27 @@ def _quotient(numerator, denominator, what: str) -> float:
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
     """Simple ratio statistic from the plain partial sums and the knot margins."""
-    return _quotient(*_simple_ratio(grid.x, grid.cfg), "constant-zero")
+    return _quotient(*_ratios(grid.x, grid.cfg, [None])[0], "constant-zero")
 
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
-    return _quotient(*_full_ratio(grid.x, grid.cfg, t0, t1), "constant")
+    return _quotient(*_ratios(grid.x, grid.cfg, [(t0, t1)])[0], "constant")
 
 
-def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray,
-                    ratio: float, n: int) -> np.ndarray:
+def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray, ratio: float, n: int,
+                    out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Between-knot contrast on the s-grid, from the rows at knots k0, k1 and
-    last, in place of ``mid`` (``late`` is overwritten too): the slice
-    increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0) times the
-    increment from k0 to the last knot.  Columnwise, so it takes any block of
-    columns of the three rows."""
-    mid -= early
-    late -= early
+    last, into ``out`` (new if None; ``scratch`` takes the late increment):
+    the slice increment from k0 to k1 minus ``ratio`` = (k1-k0)/(last-k0)
+    times the increment from k0 to the last knot.  Columnwise, so it takes
+    any block of columns of the three rows."""
+    out = np.subtract(mid, early, out=out)
+    late = np.subtract(late, early, out=scratch)
     late *= ratio
-    mid -= late
-    mid *= math.sqrt(n)
-    return mid
+    out -= late
+    out *= math.sqrt(n)
+    return out
 
 
 def simple_statistic(x, cfg: BlockConfig) -> float:
@@ -318,6 +322,16 @@ def lrv_estimate(x) -> float:
     return float(np.ldexp(_cusum_lrv(x, e)[1], 2 * e))
 
 
+def lrv_critical_value(alpha: float) -> float:
+    """The LRV-CUSUM test's critical value: the (1 - alpha) Kolmogorov quantile.
+    Refuses an alpha outside (0, 1), or below ~2**-53, where 1 - alpha is 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} not in (0, 1)")
+    if 1.0 - alpha == 1.0:
+        raise ConfigurationError(f"alpha={alpha} is too small for the LRV test: 1 - alpha is 1")
+    return nulldist.kolmogorov_quantile(1.0 - alpha)
+
+
 def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     """Classical CUSUM test scaled by the estimated long-run variance.
 
@@ -325,15 +339,13 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     threshold are scaled back by 2**e.  Raises ConfigurationError when either
     of them, scaled back, exceeds the float range (data near 2**1023).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} not in (0, 1)")
+    q = lrv_critical_value(alpha)
     x = as_series(x)
     e = int(_exponent(x)[0])
     statistic, sigma2 = map(float, _cusum_lrv(x, e))
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
     sigma = math.sqrt(sigma2)
-    q = nulldist.kolmogorov_quantile(1.0 - alpha)
     try:
         statistic_x, threshold_x = math.ldexp(statistic, e), math.ldexp(sigma * q, e)
     except OverflowError:

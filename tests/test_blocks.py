@@ -26,6 +26,14 @@ def knot_row(x, cfg, k):
     return oracles.masked_row(x, cfg, k * cfg.n_blocks)
 
 
+def knot_margins(x, cfg):
+    """The process at s = 1 for every knot, by the walk's knot-sum step over
+    one chunk of the whole series, and one prefix sum over the knots."""
+    sums = np.zeros(x.shape[:-1] + (cfg.n_knots + 1,))
+    blocks._knot_sums(x, cfg, 1, sums)
+    return np.cumsum(sums, axis=-1) / cfg.n
+
+
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
 
@@ -276,7 +284,7 @@ def test_grid_margins_and_coarse_value():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(50)
     cfg = make_block_config(50, 7)  # 7 blocks of 7 plus one leftover index
-    margins = blocks._knot_margins(x, cfg)
+    margins = knot_margins(x, cfg)
     assert margins.shape == (cfg.n_knots + 1,)
     for k in range(cfg.n_knots + 1):
         t = k * cfg.n_blocks / cfg.n
@@ -296,7 +304,7 @@ def test_knot_margins_equal_the_binned_reference():
             cfg = make_block_config(n, b)
             seen_extra_knots += cfg.n_knots > b
             for data in (x, x[1]):
-                margins = blocks._knot_margins(data, cfg)
+                margins = knot_margins(data, cfg)
                 assert margins.shape == data.shape[:-1] + (cfg.n_knots + 1,)
                 assert margins.tobytes() == oracles.knot_margins(data, cfg).tobytes(), (n, b)
     assert seen_extra_knots > 600
@@ -307,10 +315,10 @@ def test_knot_margins_of_a_stack_equal_its_rows(n, b):
     cfg = make_block_config(n, b)
     x = np.random.default_rng(22).standard_normal((nulldist.block_rows(8 * n), n))
     x[::2, ::3], x[1::2, 1::3] = -0.0, 0.0
-    margins = blocks._knot_margins(x, cfg)
+    margins = knot_margins(x, cfg)
     assert margins.tobytes() == oracles.knot_margins(x, cfg).tobytes()
     for row in (0, len(x) // 2, len(x) - 1):
-        assert margins[row].tobytes() == blocks._knot_margins(x[row], cfg).tobytes()
+        assert margins[row].tobytes() == knot_margins(x[row], cfg).tobytes()
 
 
 def test_scale_equivariance_power_of_two_is_exact():

@@ -181,6 +181,15 @@ def test_cmd_test_refuses_level_outside_unit_interval(capsys, cache_dir, gauss_c
     assert "alpha=" in err
 
 
+@pytest.mark.parametrize("alpha", ["1e-17", "5e-17"])
+def test_cmd_test_lrv_names_an_alpha_whose_complement_rounds_to_one(capsys, gauss_csv, alpha):
+    # below about 2**-53, 1 - alpha is 1.0: the error names the alpha given
+    code, out, err = run_cli(capsys, ["test", "--input", str(gauss_csv), "--method", "lrv",
+                                      "--alpha", alpha])
+    assert (code, out) == (1, "")
+    assert f"alpha={float(alpha)}" in err
+
+
 def test_cmd_test_null_pvalues_approximately_uniform(capsys, cache_dir, tmp_path):
     # under a constant mean, p-values concentrate above the level for the
     # (conservative) full rule; p > 0.05 in well over 90% of runs
@@ -444,6 +453,21 @@ def test_simulate_refuses_bad_cells_and_repeated_tests(capsys, cache_dir, tmp_pa
     )
     assert code == 1 and word in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e-17", "5e-17"])
+def test_simulate_refuses_an_lrv_alpha_before_any_worker_starts(capsys, tmp_path, usable_cpus,
+                                                               fake_pools, alpha):
+    # 1 - alpha rounds to 1.0: the error names the alpha given, and no pool
+    # is built and no table written
+    usable_cpus(64)
+    out = tmp_path / "sim"
+    code, stdout, err = run_cli(capsys, ["simulate", "--tests", "r_lrv", "--alpha", alpha,
+                                         "--grid", "n=100", "--reps", "40", "--workers", "2",
+                                         "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert f"alpha={float(alpha)}" in err
+    assert not fake_pools and not out.exists()
 
 
 def test_test_and_simulate_share_one_admissibility_rule(capsys, cache_dir, tmp_path):

@@ -315,9 +315,12 @@ def test_simulate_applies_the_rules_test_applies(usable_cpus, fake_pools, nulls,
     (pool,) = fake_pools
     x = gen_series(cell, 0)
     for task in pool.tasks:
-        assert set(task[2]) == {"sn_simple", "sn_full_v1", "sn_full_v2"}
+        assert set(task[2]) == set(decide)
         for name, threshold in task[2].items():
-            assert threshold.hex() == decide[name](x).threshold.hex(), name
+            outcome = decide[name](x)
+            # the LRV test's threshold scales its critical value by sigma
+            want = outcome.quantile if name == "r_lrv" else outcome.threshold
+            assert threshold.hex() == want.hex(), name
 
     counts, degenerate = simulation._scenario_chunk(
         cell, tuple(decide), pool.tasks[0][2], 0, cell.replications)
@@ -344,6 +347,7 @@ def test_stacked_chunk_counts_equal_the_single_series_decisions(nulls, size):
     }
     thresholds = {name: rule.threshold(nulls[rule.kind], cell.alpha)[1]
                   for name, rule in stats.RULES.items()}
+    thresholds["r_lrv"] = stats.lrv_critical_value(cell.alpha)
     start = 3
     counts, degenerate = simulation._scenario_chunk(
         cell, tuple(decide), thresholds, start, start + size)
@@ -358,8 +362,9 @@ def test_stacked_tally_counts_a_zero_row_as_degenerate():
     x = np.random.default_rng(31).standard_normal((4, 250))
     x[2] = 0.0
     thresholds = dict.fromkeys(stats.RULES, 0.0)
+    thresholds["r_lrv"] = stats.lrv_critical_value(0.05)
     rejections, degenerate = dict.fromkeys(ALL_TESTS, 0), dict.fromkeys(ALL_TESTS, 0)
-    simulation._tally(x, cfg, ALL_TESTS, thresholds, 0.05, rejections, degenerate)
+    simulation._tally(x, cfg, ALL_TESTS, thresholds, rejections, degenerate)
     assert degenerate == dict.fromkeys(ALL_TESTS, 1)
     # every statistic of a non-zero row is positive, above a zero threshold
     assert {name: rejections[name] for name in stats.RULES} == dict.fromkeys(stats.RULES, 3)
@@ -372,7 +377,7 @@ def test_scenario_chunk_memory_is_linear():
     # about nine length-n arrays.  Stacking both replications would double it.
     cell = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                     n=100_000, replications=2)
-    thresholds = dict.fromkeys(stats.RULES, 3.0)
+    thresholds = dict.fromkeys(ALL_TESTS, 3.0)
     tracemalloc.start()
     try:
         simulation._scenario_chunk(cell, ALL_TESTS, thresholds, 0, 2)

@@ -221,21 +221,22 @@ def test_full_statistic_memory_is_linear():
 
 
 def test_simple_statistic_keeps_no_memory_per_geometry():
-    # nothing outlives a call, whatever the block length; the peak is the
-    # scaled copy of the series and its prefix sum, 8n bytes each (measured
-    # 2.003 * 8n at n = 2e5); the knot margins need K + 1 values per series
-    n = 200_000
-    x = np.random.default_rng(2).standard_normal(n)
-    stats.simple_statistic(x, make_block_config(n))
-    tracemalloc.start()
-    try:
-        for b in range(20, 120, 10):
-            stats.simple_statistic(x, make_block_config(n, b))
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held < 2**16
-    assert peak < 2 * 8 * n + 2**17
+    # nothing outlives a call, whatever the block length; the series is
+    # scaled chunk by chunk as it is read, so the peak is the chunk, its
+    # prefix sum and the K + 1 knot sums per series (0.50 MiB), or at 8e5
+    # the n-byte finiteness mask of as_series (0.76 MiB)
+    for n in (200_000, 800_000):
+        x = np.random.default_rng(2).standard_normal(n)
+        stats.simple_statistic(x, make_block_config(n))
+        tracemalloc.start()
+        try:
+            for b in range(20, 120, 10):
+                stats.simple_statistic(x, make_block_config(n, b))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**16, n
+        assert peak < 2 * 2**20, n
 
 
 def test_full_statistic_works_in_a_chunk_sized_workspace():
@@ -334,6 +335,16 @@ def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
             assert blocked[0][5] == blocked[1][5] == 0.0
 
 
+def simple_whole_ratio(u, cfg):
+    """The simple ratio from the whole series: one plain prefix sum and the
+    binned knot margins."""
+    last = cfg.n_knots
+    margins = oracles.knot_margins(u, cfg)
+    scaled = np.arange(last) / (last - 1)
+    return (_sup(np.cumsum(u, axis=-1)) / cfg.n,
+            _sup(margins[..., 1:] - scaled * margins[..., last, None]))
+
+
 @pytest.mark.parametrize("block_bytes", [8, 8 * 40, 8 * 333])
 @pytest.mark.parametrize("n, block_length", [(61, 7), (100, 30), (257, 16), (1000, 30), (1000, 4)])
 def test_blocks_of_columns_hold_whole_blocks(monkeypatch, block_bytes, n, block_length):
@@ -343,10 +354,37 @@ def test_blocks_of_columns_hold_whole_blocks(monkeypatch, block_bytes, n, block_
     monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
     x = boundary_series(7, n)
     u, cfg = _unit_scaled(x)[0], make_block_config(n, block_length)
-    for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
-        blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
+    for rule in stats.RULES.values():
+        blocked = rule.ratio(u, cfg)
+        if rule.splits is None:
+            whole = simple_whole_ratio(u, cfg)
+        else:
+            whole = full_length_ratio(u, cfg, *rule.splits)
         assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
         assert hexes(blocked[1]) == hexes(whole[1]), rule.test_id
+
+
+@pytest.mark.parametrize("block_bytes", [8, 8 * 40, 8 * 333, None])
+@pytest.mark.parametrize("n, block_length", [
+    (16, 4),  # v1 and v2 both on knots (1, 2, 4): one contrast and one carry for both
+    (64, 8),  # no remainder: the last knot's cutoff is n, the simple rule's
+    (61, 7), (100, 30), (1000, 4), (2003, None),
+])
+def test_joint_ratios_equal_the_per_rule_calls(monkeypatch, block_bytes, n, block_length):
+    # one walk for every rule shares the knot rows, the numerator and the
+    # contrasts among the rules, and must not advance a shared carry twice
+    if block_bytes is not None:
+        monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
+    x = boundary_series(7, n)
+    cfg = make_block_config(n, block_length)
+    tests = [rule.splits for rule in stats.RULES.values()]
+    for data in (x, x[0]):
+        joint = stats._ratios(data, cfg, tests)
+        assert len(joint) == len(tests)
+        for splits, (numerator, denominator) in zip(tests, joint):
+            single = stats._ratios(data, cfg, [splits])[0]
+            assert numerator.tobytes() == single[0].tobytes(), (splits, n)
+            assert denominator.tobytes() == single[1].tobytes(), (splits, n)
 
 
 def test_full_rules_bits_when_remainder_ranks_enter_the_top_rows():
