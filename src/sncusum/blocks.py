@@ -83,7 +83,8 @@ def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
         raise ValueError(f"series must be 1-dimensional, got shape {x.shape}")
     if x.size < 4:
         raise ValueError(f"series too short: n={x.size} < 4")
-    if not np.isfinite(x).all():
+    # a NaN or inf reaches the max or the min, with no n-byte mask
+    if not (math.isfinite(np.maximum.reduce(x)) and math.isfinite(np.minimum.reduce(x))):
         raise ValueError("series contains non-finite values")
     if cfg is not None and x.size != cfg.n:
         raise ValueError(f"series length {x.size} does not match n={cfg.n}")

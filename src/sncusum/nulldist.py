@@ -11,10 +11,22 @@ Paths are simulated as scaled Gaussian random walks on a grid of
 by (seed, replication index), so results are bit-identical for any worker
 count or scheduling order.  ``keyed_streams`` derives the streams of a whole
 replication range in one vectorized pass.
+
+A sample is cached as a self-describing text file ``<name>.snq`` (a header
+line, then one decimal per draw; 1.9 MB at 100k draws) beside a binary
+companion ``<name>.snq.f8`` (0.8 MB): the 32-byte sha256 of the ``.snq``
+bytes, then the draws as little-endian float64.  Only ``save_sample`` writes
+a companion.  ``load_sample`` takes the draws from it only while its length
+and digest match the text beside it, so it returns the draws the text parses
+to, in a fraction of the parse time.  Deleting a companion is safe, and a
+cache written before companions existed loads from its text; rewriting it
+(``sn-cusum nulldist``) adds the companion.  The ``.snq`` bytes are the same
+with or without one.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+import io
 import math
 import os
 import sys
@@ -48,6 +60,7 @@ MAX_REPLICATIONS = 2**32
 
 _CACHE_MAGIC = "snq"
 _CACHE_VERSION = "v1"
+_DIGEST_BYTES = 32  # a sha256 digest, the head of a cache's binary companion
 
 
 @dataclass
@@ -375,21 +388,54 @@ def kolmogorov_quantile(level: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def save_sample(sample: NullSample, path) -> None:
-    """Write a null sample as a self-describing text cache.
+def _companion(path) -> str:
+    """Path of the binary companion of the cache at ``path``: ``<path>.f8``."""
+    return os.fspath(path) + ".f8"
 
-    Header line ``snq v1 <kind> m=<m> N=<N> seed=<seed>`` followed by the
-    sorted draws, one decimal per line.  Rewriting a loaded sample reproduces
-    the file byte for byte.
+
+def save_sample(sample: NullSample, path) -> None:
+    """Write a null sample as a self-describing text cache and its binary companion.
+
+    The text is the header line ``snq v1 <kind> m=<m> N=<N> seed=<seed>``
+    followed by the sorted draws, one shortest-repr decimal per line;
+    rewriting a loaded sample reproduces it byte for byte.  The companion
+    ``<path>.f8`` then holds the 32-byte sha256 of those text bytes and the
+    N draws as little-endian float64, which ``load_sample`` reads instead of
+    parsing the text while the digest still matches.  Only this function
+    writes a companion, and deleting one is safe.
     """
-    lines = [
-        f"{_CACHE_MAGIC} {_CACHE_VERSION} {sample.kind} "
-        f"m={sample.grid_steps} N={sample.replications} seed={sample.seed}"
-    ]
-    lines.extend(repr(float(v)) for v in sample.draws)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    import hashlib  # imported here: only a cache save or load hashes (~3 ms cold)
+
+    draws = np.ascontiguousarray(sample.draws, dtype="<f8")
+    header = (f"{_CACHE_MAGIC} {_CACHE_VERSION} {sample.kind} "
+              f"m={sample.grid_steps} N={draws.size} seed={sample.seed}")
+    text = "\n".join([header, *map(repr, draws.tolist()), ""]).encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    with open(_companion(path), "wb") as fh:
+        fh.write(hashlib.sha256(text).digest())
+        fh.write(draws)
+
+
+def _companion_draws(path, text: bytes, count: int) -> np.ndarray | None:
+    """The draws in the companion of the cache at ``path``, whose bytes are
+    ``text``; None unless the companion can be read, is exactly
+    _DIGEST_BYTES + 8 * ``count`` bytes long and opens with the sha256 of
+    ``text``."""
+    import hashlib  # imported here: only a cache save or load hashes (~3 ms cold)
+
+    try:
+        with open(_companion(path), "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != _DIGEST_BYTES + 8 * count:
+                return None
+            if fh.read(_DIGEST_BYTES) != hashlib.sha256(text).digest():
+                return None
+            draws = np.empty(count, dtype="<f8")
+            if fh.readinto(draws) != draws.nbytes:
+                return None
+    except OSError:
+        return None
+    return draws.astype(float, copy=False)
 
 
 def load_sample(
@@ -403,53 +449,66 @@ def load_sample(
 
     Any expected value passed as a keyword must match the header exactly;
     mismatches raise CacheProvenanceError, malformed files CacheFormatError.
+    The draws come from the binary companion ``<path>.f8`` when
+    ``save_sample`` wrote it for exactly these text bytes (see
+    ``_companion_draws``), else from parsing the text: a cache without a
+    companion, or with a stale, short or long one, loads as before.  Either
+    way they pass the same checks, and they are the draws the text parses to.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        try:  # the first read decodes a whole buffer, draws included
-            header = fh.readline().strip()
-        except UnicodeDecodeError as exc:
-            raise CacheFormatError(f"cache {path} is not ASCII text: {exc}") from None
-        fields = header.split()
-        if len(fields) != 6 or fields[0] != _CACHE_MAGIC:
-            raise CacheFormatError(f"not a null-sample cache: {path}")
-        if fields[1] != _CACHE_VERSION:
-            raise CacheFormatError(f"unknown cache version {fields[1]!r} in {path}")
-        try:
-            file_kind = fields[2]
-            file_m = int(fields[3].removeprefix("m="))
-            file_n = int(fields[4].removeprefix("N="))
-            file_seed = int(fields[5].removeprefix("seed="))
-        except ValueError as exc:
-            raise CacheFormatError(f"malformed cache header in {path}: {header!r}") from exc
-        if file_kind not in _KINDS:
-            raise CacheFormatError(f"unknown ratio kind {file_kind!r} in {path}")
-        if file_n < 1:
-            raise CacheFormatError(f"cache {path} claims N={file_n} draws; need at least 1")
-        try:  # the bounds simulate_null applies: no run writes other headers
-            _check_grid_steps(file_m)
-            _check_seed(file_seed)
-        except ValueError as exc:
-            raise CacheFormatError(f"cache {path} has impossible provenance: {exc}") from None
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if not text.isascii():
+        offset = next(i for i, byte in enumerate(text) if byte > 0x7F)
+        raise CacheFormatError(
+            f"cache {path} is not ASCII text: byte {text[offset]:#04x} at offset {offset}"
+        )
+    head, _, body = text.partition(b"\n")
+    header = head.decode("ascii").strip()
+    fields = header.split()
+    if len(fields) != 6 or fields[0] != _CACHE_MAGIC:
+        raise CacheFormatError(f"not a null-sample cache: {path}")
+    if fields[1] != _CACHE_VERSION:
+        raise CacheFormatError(f"unknown cache version {fields[1]!r} in {path}")
+    try:
+        file_kind = fields[2]
+        file_m = int(fields[3].removeprefix("m="))
+        file_n = int(fields[4].removeprefix("N="))
+        file_seed = int(fields[5].removeprefix("seed="))
+    except ValueError as exc:
+        raise CacheFormatError(f"malformed cache header in {path}: {header!r}") from exc
+    if file_kind not in _KINDS:
+        raise CacheFormatError(f"unknown ratio kind {file_kind!r} in {path}")
+    if file_n < 1:
+        raise CacheFormatError(f"cache {path} claims N={file_n} draws; need at least 1")
+    try:  # the bounds simulate_null applies: no run writes other headers
+        _check_grid_steps(file_m)
+        _check_seed(file_seed)
+    except ValueError as exc:
+        raise CacheFormatError(f"cache {path} has impossible provenance: {exc}") from None
 
-        for name, expected, actual in [
-            ("kind", kind, file_kind),
-            ("grid_steps", grid_steps, file_m),
-            ("replications", replications, file_n),
-            ("seed", seed, file_seed),
-        ]:
-            if expected is not None and expected != actual:
-                raise CacheProvenanceError(
-                    f"cache {path} has {name}={actual}, expected {expected}"
-                )
+    for name, expected, actual in [
+        ("kind", kind, file_kind),
+        ("grid_steps", grid_steps, file_m),
+        ("replications", replications, file_n),
+        ("seed", seed, file_seed),
+    ]:
+        if expected is not None and expected != actual:
+            raise CacheProvenanceError(
+                f"cache {path} has {name}={actual}, expected {expected}"
+            )
 
+    source = _companion(path)
+    draws = _companion_draws(path, text, file_n)
+    if draws is None:
+        source = path
         try:
-            draws = np.loadtxt(fh, dtype=float, ndmin=1)
+            draws = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=float, ndmin=1)
         except ValueError as exc:
             raise CacheFormatError(f"malformed draw records in {path}") from exc
-    if draws.size != file_n:
-        raise CacheFormatError(
-            f"cache {path} holds {draws.size} draws, header claims {file_n}"
-        )
+        if draws.size != file_n:
+            raise CacheFormatError(
+                f"cache {path} holds {draws.size} draws, header claims {file_n}"
+            )
     if not np.all(np.isfinite(draws) & (draws > 0)) or np.any(np.diff(draws) < 0):
-        raise CacheFormatError(f"draws in {path} are not finite, positive and sorted ascending")
+        raise CacheFormatError(f"draws in {source} are not finite, positive and sorted ascending")
     return NullSample(kind=file_kind, draws=draws, grid_steps=file_m, seed=file_seed)

@@ -268,6 +268,22 @@ def test_cmd_test_undecodable_cache_is_a_format_error(capsys, cache_dir, gauss_c
     assert str(tmp_path / "full-ratio.snq") in err and "ASCII" in err
 
 
+def test_cmd_test_output_is_the_same_without_the_companions(capsys, cache_dir, gauss_csv,
+                                                            tmp_path):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for kind in ("simple-ratio", "full-ratio"):
+        assert (cache_dir / f"{kind}.snq.f8").exists()
+        (bare / f"{kind}.snq").write_bytes((cache_dir / f"{kind}.snq").read_bytes())
+    for method in ("simple", "full-v1", "full-v2"):
+        argv = ["test", "--input", str(gauss_csv), "--method", method, "--null-cache"]
+        with_companion = run_cli(capsys, argv + [str(cache_dir)])
+        assert with_companion[0] == 0
+        assert run_cli(capsys, argv + [str(bare)]) == with_companion
+    # test only reads the cache directory: it writes no companion
+    assert sorted(path.name for path in bare.iterdir()) == ["full-ratio.snq", "simple-ratio.snq"]
+
+
 def test_cmd_test_missing_file(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, ["test", "--input", str(tmp_path / "nope.csv"), "--method", "lrv"]
@@ -366,6 +382,18 @@ def test_nulldist_default_workers_write_the_serial_bytes(capsys, tmp_path):
         assert run_cli(capsys, argv)[0] == 0
     for name in ("simple-ratio.snq", "full-ratio.snq"):
         assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_nulldist_writes_the_same_companions_at_one_and_two_workers(capsys, tmp_path,
+                                                                   usable_cpus):
+    usable_cpus(2)
+    for workers in ("1", "2"):
+        argv = ["nulldist", "--steps", "100", "--reps", "3000", "--workers", workers,
+                "--out", str(tmp_path / workers)]
+        assert run_cli(capsys, argv)[0] == 0
+    for name in ("simple-ratio.snq", "full-ratio.snq", "simple-ratio.snq.f8",
+                 "full-ratio.snq.f8"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_nulldist_seed_overflow_writes_no_cache(capsys, tmp_path):

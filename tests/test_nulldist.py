@@ -411,6 +411,73 @@ def test_cache_round_trip_arbitrary_draws(tmp_path_factory, raw, seed):
     save_sample(sample, path)
     loaded = load_sample(path, kind=SIMPLE_RATIO, seed=seed)
     assert np.array_equal(loaded.draws, sample.draws)
+    Path(f"{path}.f8").unlink()  # the text alone parses to the same draws
+    assert load_sample(path).draws.tobytes() == loaded.draws.tobytes()
+
+
+def write_companion(path, draws, extra=b"", cut=0):
+    """A companion for the cache at ``path``: the digest of the cache's bytes
+    as they are now, ``draws`` as float64, then ``extra``, less the last
+    ``cut`` bytes."""
+    body = (hashlib.sha256(path.read_bytes()).digest()
+            + np.asarray(draws, dtype="<f8").tobytes() + extra)
+    Path(f"{path}.f8").write_bytes(body[: len(body) - cut])
+
+
+def test_cache_companion_round_trip_is_bit_identical(tmp_path, null_simple_small, monkeypatch):
+    path = tmp_path / "a.snq"
+    save_sample(null_simple_small, path)
+    companion = Path(f"{path}.f8").read_bytes()
+    assert companion[:32] == hashlib.sha256(path.read_bytes()).digest()
+    assert companion[32:] == null_simple_small.draws.astype("<f8").tobytes()
+    monkeypatch.setattr(np, "loadtxt", None)  # so the draws must come from the companion
+    loaded = load_sample(path, kind=SIMPLE_RATIO)
+    assert loaded.draws.dtype == np.float64 and loaded.draws.flags.writeable
+    assert loaded.draws.tobytes() == null_simple_small.draws.tobytes()
+    save_sample(loaded, tmp_path / "b.snq")
+    assert Path(f"{tmp_path / 'b.snq'}.f8").read_bytes() == companion
+
+
+def test_cache_companion_is_trusted_only_beside_its_own_text(tmp_path, null_simple_small,
+                                                            null_full_small):
+    # the companion is trusted on its digest: it is read whatever draws it holds
+    path = tmp_path / "a.snq"
+    save_sample(null_simple_small, path)
+    write_companion(path, 2 * null_simple_small.draws)
+    assert np.array_equal(load_sample(path).draws, 2 * null_simple_small.draws)
+    # a .snq rewritten after save_sample leaves a stale digest beside it
+    save_sample(null_simple_small, path)
+    save_sample(null_full_small, tmp_path / "other.snq")
+    path.write_bytes((tmp_path / "other.snq").read_bytes())
+    assert load_sample(path).draws.tobytes() == null_full_small.draws.tobytes()
+
+
+@pytest.mark.parametrize("extra, cut", [(b"", 8), (b"", 8 * 4000), (b"", 8 * 4000 + 32),
+                                        (b"\0" * 8, 0), (b"\0", 0)])
+def test_cache_companion_of_the_wrong_length_loads_the_text(tmp_path, null_simple_small,
+                                                            extra, cut):
+    # truncated (by a draw, to the digest alone, to nothing) or over-long
+    path = tmp_path / "a.snq"
+    save_sample(null_simple_small, path)
+    write_companion(path, 2 * null_simple_small.draws, extra, cut)
+    assert load_sample(path).draws.tobytes() == null_simple_small.draws.tobytes()
+
+
+def test_cache_without_a_readable_companion_loads_the_text(tmp_path, null_simple_small):
+    path = tmp_path / "a.snq"
+    save_sample(null_simple_small, path)
+    Path(f"{path}.f8").unlink()
+    assert load_sample(path).draws.tobytes() == null_simple_small.draws.tobytes()
+    Path(f"{path}.f8").mkdir()  # opening it is an OSError
+    assert load_sample(path).draws.tobytes() == null_simple_small.draws.tobytes()
+
+
+def test_cache_companion_draws_pass_the_text_checks(tmp_path, null_simple_small):
+    path = tmp_path / "a.snq"
+    save_sample(null_simple_small, path)
+    write_companion(path, null_simple_small.draws[::-1])
+    with pytest.raises(CacheFormatError, match=re.escape(f"{path}.f8")):
+        load_sample(path)
 
 
 def test_cache_load_verifies_provenance(tmp_path, null_simple_small):

@@ -223,8 +223,9 @@ def test_full_statistic_memory_is_linear():
 def test_simple_statistic_keeps_no_memory_per_geometry():
     # nothing outlives a call, whatever the block length; the series is
     # scaled chunk by chunk as it is read, so the peak is the chunk, its
-    # prefix sum and the K + 1 knot sums per series (0.50 MiB), or at 8e5
-    # the n-byte finiteness mask of as_series (0.76 MiB)
+    # prefix sum and the K + 1 knot sums per series (0.50 MiB at 2e5 and 8e5:
+    # as_series checks finiteness through the max and the min, with no
+    # n-byte mask)
     for n in (200_000, 800_000):
         x = np.random.default_rng(2).standard_normal(n)
         stats.simple_statistic(x, make_block_config(n))
