@@ -36,8 +36,9 @@ def main() -> int:
         for rule in stats.RULES.values():
             rule.check(cfg)
         grid = np.arange(1, args.n + 1) / args.n
-        x = as_series(mean_value(args.mean, grid) + args.noise * sigma_value(2, grid)
-                      * gen_errors("ar", args.n, args.seed))
+        with np.errstate(over="ignore"):  # a noise near the float limit overflows
+            x = as_series(mean_value(args.mean, grid) + args.noise * sigma_value(2, grid)
+                          * gen_errors("ar", args.n, args.seed))
     except ValueError as exc:  # a length, mean id, seed or noise the run cannot use
         parser.error(str(exc))
     Path(args.out).write_text("\n".join(repr(float(v)) for v in x) + "\n")

@@ -102,12 +102,6 @@ def _exponent(x: np.ndarray) -> np.ndarray:
     return np.frexp(_sup(x))[1][..., None]
 
 
-def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each series along the last axis of ``x`` times 2**-e, and e."""
-    e = _exponent(x)
-    return np.ldexp(x, -e), e[..., 0]
-
-
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value} not in [0, 1]")
@@ -173,23 +167,19 @@ def _row(x: np.ndarray, cfg: BlockConfig, m: int, lo: int, carry: np.ndarray,
     return out
 
 
-def _whole_row(x: np.ndarray, cfg: BlockConfig, m: int) -> np.ndarray:
-    """``_row`` over all n+1 grid columns; column 0 (s = 0) is zero."""
-    row = np.zeros(x.shape[:-1] + (cfg.n + 1,))
-    _row(x, cfg, m, 1, np.full(x.shape[:-1] + (1,), -0.0), row[..., 1:], np.empty(x.shape))
-    return row
-
-
 def partial_sum(x, cfg: BlockConfig, t: float, s: float) -> float:
     """Bivariate partial sum: the observations of time rank <= floor(t*n) and
     sample position <= floor(s*n), summed over n; exact at any finite scale,
-    as the row is taken of ``_unit_scaled`` data and scaled back by 2**e."""
+    as the ``_row`` over all n columns is taken of x times 2**-e
+    (``_exponent``) and scaled back by 2**e.  Column 0 (s = 0) is zero."""
     x = as_series(x, cfg)
     _check_unit("t", t)
     _check_unit("s", s)
-    u, e = _unit_scaled(x)
-    row = _whole_row(u, cfg, _floor_index(t * cfg.n))
-    return float(np.ldexp(row[_floor_index(s * cfg.n)], int(e)))
+    e = int(_exponent(x)[0])
+    row = np.zeros(cfg.n + 1)
+    _row(np.ldexp(x, -e), cfg, _floor_index(t * cfg.n), 1, np.full(1, -0.0), row[1:],
+         np.empty(cfg.n))
+    return float(np.ldexp(row[_floor_index(s * cfg.n)], e))
 
 
 def knot_of(cfg: BlockConfig, t: float) -> int:

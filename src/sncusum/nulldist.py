@@ -26,7 +26,6 @@ with or without one.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-import io
 import math
 import os
 import sys
@@ -336,7 +335,9 @@ def critical_value(sample: NullSample, alpha: float) -> float:
 
 
 def p_value(sample: NullSample, observed: float) -> float:
-    """Add-one Monte-Carlo p-value: (1 + #draws >= observed) / (N + 1)."""
+    """Add-one Monte-Carlo p-value: (1 + #draws >= observed) / (N + 1); refuses NaN."""
+    if math.isnan(observed):
+        raise ValueError(f"observed statistic is {observed}")
     count = sample.replications - np.searchsorted(sample.draws, observed, side="left")
     return float((1 + count) / (sample.replications + 1))
 
@@ -502,7 +503,7 @@ def load_sample(
     if draws is None:
         source = path
         try:
-            draws = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=float, ndmin=1)
+            draws = np.array(body.decode("ascii").split(), dtype=float)
         except ValueError as exc:
             raise CacheFormatError(f"malformed draw records in {path}") from exc
         if draws.size != file_n:

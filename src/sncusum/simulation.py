@@ -248,7 +248,7 @@ def _tally(x: np.ndarray, cfg, tests, thresholds: dict, rejections: dict,
             valid = denominator != 0.0
             rejected = numerator[valid] / denominator[valid] > thresholds[name]
         else:
-            statistic, sigma2 = stats.cusum_lrv(x)
+            statistic, sigma2, _ = stats.cusum_lrv(x)
             valid = sigma2 != 0.0
             rejected = statistic[valid] > np.sqrt(sigma2[valid]) * thresholds[name]
         degenerate[name] += len(x) - int(np.count_nonzero(valid))
@@ -266,9 +266,10 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
     for lo in range(start, stop, len(block)):
         x = block[: stop - lo]
         # the stream last: zip stops at the end of the block before taking one
-        for rep, row, stream in zip(range(lo, stop), x, streams):
-            row[:] = gen_series(scenario, rep, stream)
-        if not np.isfinite(x).all():  # c_sigma near the float limit overflows
+        with np.errstate(over="ignore"):  # c_sigma near the float limit overflows
+            for rep, row, stream in zip(range(lo, stop), x, streams):
+                row[:] = gen_series(scenario, rep, stream)
+        if not np.isfinite(x).all():
             raise ValueError("series contains non-finite values")
         _tally(x, cfg, tests, thresholds, rejections, degenerate)
     return rejections, degenerate

@@ -58,12 +58,6 @@ class Rule:
         q = nulldist.critical_value(null, alpha)
         return q, self.factor * q
 
-    def statistic(self, grid: PartialSumGrid) -> float:
-        """The rule's ratio statistic of a grid whose geometry ``check`` admits."""
-        if self.splits is None:
-            return simple_statistic_from_grid(grid)
-        return full_statistic_from_grid(grid, *self.splits)
-
     def ratio(self, x: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and self-normalizer of the statistic along the last axis of
         series of geometry ``cfg``: the one-test call of ``_ratios``."""
@@ -200,20 +194,23 @@ def _ratios(x: np.ndarray, cfg: BlockConfig, tests) -> list[tuple[np.ndarray, np
             for t in triples]
 
 
-def _quotient(numerator, denominator, what: str) -> float:
+def _statistic(x: np.ndarray, cfg: BlockConfig, splits) -> float:
+    """The ratio statistic of one validated series for split points (None: simple rule)."""
+    numerator, denominator = _ratios(x, cfg, [splits])[0]
     if denominator == 0.0:
+        what = "constant-zero" if splits is None else "constant"
         raise DegenerateStatisticError(f"self-normalizer is zero ({what} series?)")
     return float(numerator / denominator)
 
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
     """Simple ratio statistic from the plain partial sums and the knot margins."""
-    return _quotient(*_ratios(grid.x, grid.cfg, [None])[0], "constant-zero")
+    return _statistic(grid.x, grid.cfg, None)
 
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
-    return _quotient(*_ratios(grid.x, grid.cfg, [(t0, t1)])[0], "constant")
+    return _statistic(grid.x, grid.cfg, (t0, t1))
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray, ratio: float, n: int,
@@ -249,7 +246,7 @@ def full_statistic(x, cfg: BlockConfig, t0: float, t1: float) -> float:
 def _decide(rule: Rule, x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOutcome:
     q, threshold = rule.threshold(null, alpha)
     rule.check(cfg)
-    statistic = rule.statistic(PartialSumGrid.compute(x, cfg))
+    statistic = _statistic(as_series(x, cfg), cfg, rule.splits)
     return TestOutcome(
         method=rule.test_id,
         statistic=statistic,
@@ -271,24 +268,20 @@ def decide_full(x, cfg: BlockConfig, params: TestParams, null: NullSample) -> Te
     return _decide(params.rule, x, cfg, params.alpha, null)
 
 
-def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CUSUM statistic and long-run variance estimate sigma2 along the last
-    axis of series, in the units of each times 2**-e (``_exponent``); sigma2 =
-    0 makes the test degenerate.
+def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CUSUM statistic, long-run variance estimate sigma2 and e along the last
+    axis of series: the first two in the units of each series times 2**-e
+    (``_exponent``); sigma2 = 0 makes the test degenerate.
 
     The estimate averages the squared difference of adjacent length-m window
     sums over all start positions, scaled by 1/(2m), with m = floor(n**(1/3)).
+    The scaled series fills the first of two n-sized buffers; the second holds
+    the prefix sums, then the sums of the window differences, and the first
+    then the squared window sums.  (j/n) S_n is taken a chunk at a time.
     """
-    return _cusum_lrv(x, _exponent(x))
-
-
-def _cusum_lrv(x: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
-    """``cusum_lrv`` of x times 2**-e, scaled as it is read into the first of
-    two n-sized buffers of one allocation; the second holds the prefix sums,
-    then the sums of the window differences, and the first then the squared
-    window sums.  The line (j/n) S_n is taken a chunk of columns at a time."""
     n = x.shape[-1]
     m = max(1, int(n ** (1.0 / 3.0) + 1e-9))
+    e = _exponent(x)
     buffer = np.empty(x.shape[:-1] + (2 * n + 1,))
     u, csum = buffer[..., :n], buffer[..., n:]
     np.ldexp(x, -e, out=u)
@@ -311,15 +304,13 @@ def _cusum_lrv(x: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
     windows = np.subtract(csum[..., m : n - m + 1], csum[..., : n - 2 * m + 1],
                           out=u[..., : n - 2 * m + 1])
     windows *= windows
-    return statistic / math.sqrt(n), np.mean(windows, axis=-1) / (2 * m)
+    return statistic / math.sqrt(n), np.mean(windows, axis=-1) / (2 * m), e[..., 0]
 
 
 def lrv_estimate(x) -> float:
-    """Difference-based global long-run variance estimate of ``cusum_lrv``,
-    taken of the series times 2**-e and scaled back by 4**e."""
-    x = as_series(x)
-    e = int(_exponent(x)[0])
-    return float(np.ldexp(_cusum_lrv(x, e)[1], 2 * e))
+    """The long-run variance estimate of ``cusum_lrv``, scaled back by 4**e."""
+    _, sigma2, e = cusum_lrv(as_series(x))
+    return float(np.ldexp(sigma2, 2 * int(e)))
 
 
 def lrv_critical_value(alpha: float) -> float:
@@ -340,9 +331,8 @@ def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:
     of them, scaled back, exceeds the float range (data near 2**1023).
     """
     q = lrv_critical_value(alpha)
-    x = as_series(x)
-    e = int(_exponent(x)[0])
-    statistic, sigma2 = map(float, _cusum_lrv(x, e))
+    statistic, sigma2, e = cusum_lrv(as_series(x))
+    statistic, sigma2, e = float(statistic), float(sigma2), int(e)
     if sigma2 == 0.0:
         raise DegenerateStatisticError("long-run variance estimate is zero")
     sigma = math.sqrt(sigma2)

@@ -161,6 +161,13 @@ def signed_zero_stack(n):
     return x
 
 
+def whole_row(x, cfg, m):
+    """``blocks._row`` over all n+1 grid columns, in one chunk; column 0 (s = 0) is zero."""
+    row = np.zeros(x.shape[:-1] + (cfg.n + 1,))
+    blocks._row(x, cfg, m, 1, np.full(x.shape[:-1] + (1,), -0.0), row[..., 1:], np.empty(x.shape))
+    return row
+
+
 @pytest.mark.parametrize("n", [4, 9, 14, 31, 50, 61, 100])
 def test_rows_equal_the_masked_reference(n):
     # the bits of every cutoff m of every block length: knot rows (m a
@@ -171,8 +178,8 @@ def test_rows_equal_the_masked_reference(n):
         cfg = make_block_config(n, b)
         for m in range(n + 1):
             want = oracles.masked_row(x, cfg, m)
-            assert blocks._whole_row(x, cfg, m).tobytes() == want.tobytes(), (b, m)
-            assert blocks._whole_row(x[1], cfg, m).tobytes() == want[1].tobytes(), (b, m)
+            assert whole_row(x, cfg, m).tobytes() == want.tobytes(), (b, m)
+            assert whole_row(x[1], cfg, m).tobytes() == want[1].tobytes(), (b, m)
 
 
 def test_held_signed_zero_crosses_block_boundaries():
@@ -181,7 +188,7 @@ def test_held_signed_zero_crosses_block_boundaries():
     x = [-0.0, -0.0, 1, 2, -0.0, -0.0, 3, 4, -0.0, 5, 6, 7, -0.0, -0.0]
     cfg = make_block_config(14, 4)  # 3 blocks of 4, two remainder positions
     zero = "0x0.0p+0"
-    rows = [blocks._whole_row(blocks.as_series(x), cfg, k * cfg.n_blocks) for k in (1, 2, 3)]
+    rows = [whole_row(blocks.as_series(x), cfg, k * cfg.n_blocks) for k in (1, 2, 3)]
     assert hexes(rows[0]) == [zero, "-" + zero] + [zero] * 13
     assert hexes(rows[1]) == [zero, "-" + zero, "-" + zero] + [zero] * 7 + ["0x1.6db6db6db6db7p-2"] * 5
     assert hexes(rows[2]) == (

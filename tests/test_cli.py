@@ -268,6 +268,20 @@ def test_cmd_test_undecodable_cache_is_a_format_error(capsys, cache_dir, gauss_c
     assert str(tmp_path / "full-ratio.snq") in err and "ASCII" in err
 
 
+def test_cmd_test_cache_cut_to_its_header_is_a_format_error(gauss_csv, tmp_path):
+    # an interrupted write leaves the header and no companion: exit 3, no warning
+    (tmp_path / "full-ratio.snq").write_text("snq v1 full-ratio m=200 N=2000 seed=6\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sncusum.cli", "test", "--input", str(gauss_csv),
+         "--method", "full-v2", "--null-cache", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "holds 0 draws" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cmd_test_output_is_the_same_without_the_companions(capsys, cache_dir, gauss_csv,
                                                             tmp_path):
     bare = tmp_path / "bare"
@@ -282,6 +296,15 @@ def test_cmd_test_output_is_the_same_without_the_companions(capsys, cache_dir, g
         assert run_cli(capsys, argv + [str(bare)]) == with_companion
     # test only reads the cache directory: it writes no companion
     assert sorted(path.name for path in bare.iterdir()) == ["full-ratio.snq", "simple-ratio.snq"]
+
+
+@pytest.mark.parametrize("text", ["", "value\n"], ids=["empty", "header-only"])
+def test_cmd_test_input_without_rows_is_a_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "none.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv"])
+    assert code == 3
+    assert out == "" and "no numeric rows found" in err
 
 
 def test_cmd_test_missing_file(capsys, tmp_path):
@@ -465,6 +488,21 @@ def test_simulate_bad_grid_spec(capsys, cache_dir, tmp_path):
     )
     assert code == 1
     assert "grid" in err
+
+
+def test_simulate_overflowing_cell_is_a_clean_error(cache_dir, tmp_path):
+    # c_sigma * sigma overflows while the series is built; the finiteness
+    # check names it, with no numpy warning before it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sncusum.cli", "simulate",
+         "--grid", "c=1e308;sigma=3", "--reps", "20", "--null-cache", str(cache_dir),
+         "--out", str(tmp_path / "sim")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_USAGE == 1
+    assert "series contains non-finite values" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("flags, word", [

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,14 @@ def test_p_value_extremes(null_full_small):
     assert p_value(null_full_small, math.inf) == pytest.approx(1.0 / (n + 1))
 
 
+def test_p_value_refuses_a_nan_statistic(null_full_small):
+    # searchsorted puts NaN past every draw, which would read as the smallest p-value
+    with pytest.raises(ValueError, match="nan"):
+        p_value(null_full_small, math.nan)
+    assert p_value(null_full_small, math.inf) == 1 / (null_full_small.replications + 1)
+    assert p_value(null_full_small, -math.inf) == 1.0
+
+
 def test_p_value_at_quantile(null_full_small):
     n = null_full_small.replications
     q = quantile(null_full_small, 0.95)
@@ -527,6 +536,16 @@ def test_cache_rejects_corruption(tmp_path, null_simple_small):
     with pytest.raises(CacheFormatError, match="N=0"):
         load_sample(tmp_path / "bad6.snq")
 
+    # a header field that is not an integer, and a kind no run writes
+    head = lines[0].split()
+    for name, header, message in [
+        ("bad7.snq", " ".join(head[:3] + ["m=abc"] + head[4:]), "malformed cache header"),
+        ("bad8.snq", " ".join(head[:2] + ["half-ratio"] + head[3:]), "unknown ratio kind"),
+    ]:
+        (tmp_path / name).write_text("\n".join([header] + lines[1:]) + "\n")
+        with pytest.raises(CacheFormatError, match=message):
+            load_sample(tmp_path / name)
+
     # provenance no run could write: simulate_null needs grid_steps >= 100
     # and a 64-bit unsigned seed
     head = lines[0].split()
@@ -539,12 +558,24 @@ def test_cache_rejects_corruption(tmp_path, null_simple_small):
             load_sample(bad)
 
 
+@pytest.mark.parametrize("text", ["snq v1 full-ratio m=100 N=3 seed=0\n",
+                                  "snq v1 full-ratio m=100 N=3 seed=0"])
+def test_cache_cut_to_its_header_is_refused_without_a_warning(tmp_path, text):
+    # an interrupted write: the header and no draws, and no companion beside it
+    path = tmp_path / "cut.snq"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CacheFormatError, match="holds 0 draws"):
+            load_sample(path)
+
+
 @pytest.mark.parametrize(
     "draws",
     [("nan", "1.0", "2.0"), ("1.0", "2.0", "inf"), ("-1.0", "1.0", "2.0"), ("0.0", "1.0", "2.0")],
 )
 def test_cache_rejects_non_finite_or_non_positive_draws(tmp_path, draws):
-    # every ratio draw is finite and positive; np.loadtxt parses these lines
+    # every ratio draw is finite and positive; the text parser reads these lines
     # and a NaN passes the ascending-order check
     path = tmp_path / "e.snq"
     path.write_text("\n".join(["snq v1 full-ratio m=100 N=3 seed=0", *draws]) + "\n")

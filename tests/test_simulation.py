@@ -534,6 +534,27 @@ def test_demo_synthetic_bad_arguments_are_usage_errors(tmp_path, flags, message)
     assert not out.exists()
 
 
+def test_run_grid_refuses_a_cell_that_overflows(nulls):
+    # c_sigma * sigma(t) overflows to inf while the stack is built
+    with pytest.raises(ValueError, match="non-finite"):
+        run_grid([Scenario(0, 3, 1e308, "iid", 100, 20)], nulls=nulls)
+
+
+def test_demo_synthetic_overflowing_noise_is_a_usage_error(tmp_path):
+    out = tmp_path / "demo.csv"
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(root / "scripts" / "demo_synthetic.py"),
+         "--noise", "1e308", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "series contains non-finite values" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_run_scenario_refuses_bad_level_and_workers(nulls):
     sc = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                   n=100, replications=5, alpha=1e-4)

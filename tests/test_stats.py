@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
 from sncusum import nulldist, stats
-from sncusum.blocks import PartialSumGrid, _sup, _unit_scaled, knot_of, make_block_config
+from sncusum.blocks import _exponent, _sup, knot_of, make_block_config
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -286,8 +286,8 @@ def test_kernels_read_raw_and_unit_scaled_stacks_alike(monkeypatch, block_bytes)
     x[:, 3::11] = -0.0
     cfg = make_block_config(n)
     kernels = [lambda values, rule=rule: rule.ratio(values, cfg) for rule in stats.RULES.values()]
-    for kernel in (*kernels, stats.cusum_lrv):
-        raw, scaled = kernel(x), kernel(_unit_scaled(x)[0])
+    for kernel in (*kernels, lambda values: stats.cusum_lrv(values)[:2]):
+        raw, scaled = kernel(x), kernel(np.ldexp(x, -_exponent(x)))
         rows = [kernel(row) for row in x]
         for i, values in enumerate(raw):
             assert values.tobytes() == scaled[i].tobytes()
@@ -327,7 +327,7 @@ def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
     # it, and n over four blocks, the last a remainder
     n = blocks * (nulldist._BLOCK_BYTES // (8 * rows)) + extra
     x = boundary_series(rows, n)
-    u, cfg = _unit_scaled(x)[0], make_block_config(n)
+    u, cfg = np.ldexp(x, -_exponent(x)), make_block_config(n)
     for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
         blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
         assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
@@ -354,7 +354,7 @@ def test_blocks_of_columns_hold_whole_blocks(monkeypatch, block_bytes, n, block_
     # knots than the block length (100, 30)
     monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
     x = boundary_series(7, n)
-    u, cfg = _unit_scaled(x)[0], make_block_config(n, block_length)
+    u, cfg = np.ldexp(x, -_exponent(x)), make_block_config(n, block_length)
     for rule in stats.RULES.values():
         blocked = rule.ratio(u, cfg)
         if rule.splits is None:
@@ -434,11 +434,11 @@ def test_stacked_statistics_equal_the_single_series_calls():
     x = stack_rows()
     cfg = make_block_config(250)
     assert cfg.n % cfg.block_length
-    u = _unit_scaled(x)[0]
+    u = np.ldexp(x, -_exponent(x))
     # first, so that the rules below would see any row it overwrote
-    statistic, sigma2 = stats.cusum_lrv(u)
+    statistic, sigma2, _ = stats.cusum_lrv(u)
     q = nulldist.kolmogorov_quantile(0.95)
-    for row, value, variance, e in zip(x[:-1], statistic, sigma2, _unit_scaled(x)[1]):
+    for row, value, variance, e in zip(x[:-1], statistic, sigma2, _exponent(x)[:, 0]):
         single = stats.cusum_lrv_test(row, 0.05)
         assert np.ldexp(value, e).hex() == single.statistic.hex()
         assert np.ldexp(np.sqrt(variance) * q, e).hex() == single.threshold.hex()
@@ -446,9 +446,15 @@ def test_stacked_statistics_equal_the_single_series_calls():
     for rule in stats.RULES.values():
         numerator, denominator = rule.ratio(u, cfg)
         for row, top, bottom in zip(x[:-1], numerator, denominator):
-            single = rule.statistic(PartialSumGrid.compute(row, cfg))
+            single = stats._statistic(row, cfg, rule.splits)
             assert (top / bottom).hex() == single.hex(), rule.test_id
         assert numerator[-1] == denominator[-1] == 0.0
+
+
+def test_statistic_refuses_a_series_of_another_length():
+    cfg = make_block_config(100)
+    with pytest.raises(ValueError, match="series length 99 does not match n=100"):
+        stats.full_statistic(np.random.default_rng(12).standard_normal(99), cfg, 1 / 3, 1 / 2)
 
 
 def test_full_statistic_matches_oracle():
