@@ -34,7 +34,7 @@ def main() -> int:
     try:
         cfg = make_block_config(args.n)
         for rule in stats.RULES.values():
-            rule.check(cfg)
+            rule.knots(cfg)
         grid = np.arange(1, args.n + 1) / args.n
         with np.errstate(over="ignore"):  # a noise near the float limit overflows
             x = as_series(mean_value(args.mean, grid) + args.noise * sigma_value(2, grid)

@@ -135,7 +135,7 @@ def cmd_test(args) -> int:
     if rule is None:
         outcome = stats.cusum_lrv_test(x, args.alpha)
     else:
-        rule.check(cfg)  # before the null cache is read
+        rule.knots(cfg)  # before the null cache is read
         outcome = rule.decide(x, cfg, args.alpha, _load_null(args.null_cache, rule.kind))
 
     result = {

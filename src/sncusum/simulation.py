@@ -234,17 +234,16 @@ def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
     return mean + scale * eps
 
 
-def _tally(x: np.ndarray, cfg, tests, thresholds: dict, rejections: dict,
+def _tally(x: np.ndarray, cfg, tests, thresholds: dict, knots: dict, rejections: dict,
            degenerate: dict) -> None:
     """Add the rejections and degenerate rows of a stack of series (one per
     row, each kernel scaling it as it reads) to the per-test counts; one walk
-    serves every rule, and the LRV test rejects above sigma times its critical
-    value in ``thresholds``."""
-    rules = [name for name in tests if name in stats.RULES]
-    ratios = stats._ratios(x, cfg, [stats.RULES[name].splits for name in rules]) if rules else []
+    reads every rule at its ``knots``, and the LRV test rejects above sigma
+    times its critical value in ``thresholds``."""
+    ratios = dict(zip(knots, stats._ratios(x, cfg, list(knots.values())))) if knots else {}
     for name in tests:
-        if name in stats.RULES:
-            numerator, denominator = ratios[rules.index(name)]
+        if name in ratios:
+            numerator, denominator = ratios[name]
             valid = denominator != 0.0
             rejected = numerator[valid] / denominator[valid] > thresholds[name]
         else:
@@ -255,7 +254,7 @@ def _tally(x: np.ndarray, cfg, tests, thresholds: dict, rejections: dict,
         rejections[name] += int(np.count_nonzero(rejected))
 
 
-def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, stop: int):
+def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, knots: dict, start, stop):
     """Count rejections and degenerate draws per test over one replication
     range, a stacked block of replications at a time."""
     cfg = make_block_config(scenario.n, scenario.block_length)
@@ -271,7 +270,7 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, start: int, sto
                 row[:] = gen_series(scenario, rep, stream)
         if not np.isfinite(x).all():
             raise ValueError("series contains non-finite values")
-        _tally(x, cfg, tests, thresholds, rejections, degenerate)
+        _tally(x, cfg, tests, thresholds, knots, rejections, degenerate)
     return rejections, degenerate
 
 
@@ -285,10 +284,8 @@ def check_grid(scenarios, tests=ALL_TESTS) -> list[stats.Rule]:
     if repeated:
         raise ConfigurationError(f"repeated test identifier(s): {repeated}")
     rules = [stats.RULES[name] for name in tests if name in stats.RULES]
-    for scenario in scenarios:
-        cfg = make_block_config(scenario.n, scenario.block_length)
-        for rule in rules:
-            rule.check(cfg)
+    for scenario, rule in itertools.product(scenarios, rules):
+        rule.knots(make_block_config(scenario.n, scenario.block_length))
     return rules
 
 
@@ -310,10 +307,10 @@ def run_grid(
 ) -> list[ScenarioResult]:
     """Run a list of scenarios through one worker pool.
 
-    The rules are checked against every cell and its thresholds looked up here
-    (for the LRV test, its critical value), so a geometry, null sample or level
-    the run cannot use fails before any worker starts.  Each task is one (cell,
-    replication range) pair carrying the cell's thresholds.
+    The rules are checked against every cell and calibrated for it here (for
+    the LRV test, its critical value looked up), so a geometry, null sample or
+    level the run cannot use fails before any worker starts.  Each task is one
+    (cell, replication range) pair carrying the cell's thresholds and knots.
     """
     scenarios = list(scenarios)
     tests = tuple(tests)
@@ -323,13 +320,15 @@ def run_grid(
         raise ConfigurationError(f"missing null sample(s): {missing}")
     tasks, owners = [], []
     for index, scenario in enumerate(scenarios):
-        thresholds = {rule.test_id: rule.threshold(nulls[rule.kind], scenario.alpha)[1]
-                      for rule in rules}
+        cfg = make_block_config(scenario.n, scenario.block_length)
+        calibrations = {r.test_id: r.calibration(cfg, nulls[r.kind], scenario.alpha) for r in rules}
+        thresholds = {name: c.threshold for name, c in calibrations.items()}
+        knots = {name: c.knots for name, c in calibrations.items()}
         if stats.METHOD_LRV in tests:
             thresholds[stats.METHOD_LRV] = stats.lrv_critical_value(scenario.alpha)
         bounds = plan_chunks(scenario.replications, workers, min_chunk=_MIN_RANGE)
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            tasks.append((scenario, tests, thresholds, start, stop))
+            tasks.append((scenario, tests, thresholds, knots, start, stop))
             owners.append(index)
 
     rejections = [Counter() for _ in scenarios]

@@ -25,6 +25,17 @@ METHOD_FULL_V2 = "sn_full_v2"
 
 
 @dataclass(frozen=True)
+class Calibration:
+    """A rule at one geometry and level: its knots (None: simple rule), factor,
+    (1 - alpha) null quantile and threshold, the factor times the quantile."""
+
+    knots: tuple[int, int, int] | None
+    factor: float
+    quantile: float
+    threshold: float
+
+
+@dataclass(frozen=True)
 class Rule:
     """A self-normalized test: its id, null kind and split points (full rules)."""
 
@@ -32,40 +43,29 @@ class Rule:
     kind: str
     splits: tuple[float, float] | None = None
 
-    @property
-    def factor(self) -> float:
-        """Scale of the pivotal quantile in the threshold; 1 for the simple rule."""
-        if self.splits is None:
-            return 1.0
-        t0, t1 = self.splits
-        return math.sqrt(t0 * (1.0 - t0) / ((1.0 - t1) * (t1 - t0)))
-
-    def check(self, cfg: BlockConfig) -> None:
-        """Raise ConfigurationError unless the block geometry is admissible:
-        n >= 4 * n_blocks and, for a full rule, split points on distinct knots."""
+    def knots(self, cfg: BlockConfig) -> tuple[int, int, int] | None:
+        """The knots of the split points (None: simple rule); ConfigurationError
+        unless n >= 4 * n_blocks and a full rule's split points fall on distinct knots."""
         if cfg.n < 4 * cfg.n_blocks:
-            raise ConfigurationError(
-                f"series too short: n={cfg.n} < 4 * n_blocks={4 * cfg.n_blocks}; "
-                "use a longer series or a larger block length"
-            )
-        if self.splits is not None:
-            _knot_indices(cfg, *self.splits)
+            raise ConfigurationError(f"series too short: n={cfg.n} < 4 * n_blocks="
+                                     f"{4 * cfg.n_blocks}; use a longer series or a larger "
+                                     "block length")
+        return None if self.splits is None else _knot_indices(cfg, *self.splits)
 
-    def threshold(self, null: NullSample, alpha: float) -> tuple[float, float]:
-        """The (1 - alpha) quantile of the null sample and ``factor`` times it."""
+    def calibration(self, cfg: BlockConfig, null: NullSample, alpha: float) -> Calibration:
+        """The rule's decision at geometry ``cfg`` and level ``alpha`` against
+        ``null``, whose kind is checked first, then alpha, then the geometry."""
         if null.kind != self.kind:
             raise ConfigurationError(f"need a {self.kind} sample, got {null.kind}")
         q = nulldist.critical_value(null, alpha)
-        return q, self.factor * q
-
-    def ratio(self, x: np.ndarray, cfg: BlockConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator and self-normalizer of the statistic along the last axis of
-        series of geometry ``cfg``: the one-test call of ``_ratios``."""
-        return _ratios(x, cfg, [self.splits])[0]
+        knots, factor = self.knots(cfg), 1.0
+        if self.splits is not None:
+            t0, t1 = self.splits
+            factor = math.sqrt(t0 * (1.0 - t0) / ((1.0 - t1) * (t1 - t0)))
+        return Calibration(knots, factor, q, factor * q)
 
     def decide(self, x, cfg: BlockConfig, alpha: float, null: NullSample) -> "TestOutcome":
-        """Run the rule through ``decide_simple``, or ``decide_full`` with
-        ``TestParams(alpha, self)``."""
+        """Run the rule through ``decide_simple``, or ``decide_full`` with ``TestParams``."""
         if self.splits is None:
             return decide_simple(x, cfg, alpha, null)
         return decide_full(x, cfg, TestParams(alpha, self), null)
@@ -133,9 +133,9 @@ def _knot_indices(cfg: BlockConfig, t0: float, t1: float) -> tuple[int, int, int
     return k0, k1, last
 
 
-def _ratios(x: np.ndarray, cfg: BlockConfig, tests) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Numerator and self-normalizer of each of ``tests`` (a full rule's split
-    points, or None for the simple rule) along the last axis of series of
+def _ratios(x: np.ndarray, cfg: BlockConfig, triples) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Numerator and self-normalizer of each of ``triples`` (a full rule's knots
+    (k0, k1, K), or None for the simple rule) along the last axis of series of
     geometry ``cfg``, each read times 2**-e (``_exponent``); the statistic is
     their quotient where the self-normalizer is not zero.  One pass over chunks
     of whole blocks (``block_rows`` for the stack) through a workspace made
@@ -144,7 +144,6 @@ def _ratios(x: np.ndarray, cfg: BlockConfig, tests) -> list[tuple[np.ndarray, np
     the next chunk, so every value has the bits of the full-length rows; each
     supremum is the largest chunk supremum, divided by n once."""
     b, ell, n, last = cfg.block_length, cfg.n_blocks, cfg.n, cfg.n_knots
-    triples = [None if splits is None else _knot_indices(cfg, *splits) for splits in tests]
     simple = None in triples
     if simple and last < 2:
         raise ConfigurationError(f"need at least 2 coarse steps, got {last} for n={n}")
@@ -194,11 +193,11 @@ def _ratios(x: np.ndarray, cfg: BlockConfig, tests) -> list[tuple[np.ndarray, np
             for t in triples]
 
 
-def _statistic(x: np.ndarray, cfg: BlockConfig, splits) -> float:
-    """The ratio statistic of one validated series for split points (None: simple rule)."""
-    numerator, denominator = _ratios(x, cfg, [splits])[0]
+def _statistic(x: np.ndarray, cfg: BlockConfig, knots) -> float:
+    """The ratio statistic of one validated series at a full rule's knots (None: simple rule)."""
+    numerator, denominator = _ratios(x, cfg, [knots])[0]
     if denominator == 0.0:
-        what = "constant-zero" if splits is None else "constant"
+        what = "constant-zero" if knots is None else "constant"
         raise DegenerateStatisticError(f"self-normalizer is zero ({what} series?)")
     return float(numerator / denominator)
 
@@ -210,7 +209,7 @@ def simple_statistic_from_grid(grid: PartialSumGrid) -> float:
 
 def full_statistic_from_grid(grid: PartialSumGrid, t0: float, t1: float) -> float:
     """Full ratio statistic from the process rows at knots k0, k1 and last."""
-    return _statistic(grid.x, grid.cfg, (t0, t1))
+    return _statistic(grid.x, grid.cfg, _knot_indices(grid.cfg, t0, t1))
 
 
 def contrast_values(early: np.ndarray, mid: np.ndarray, late: np.ndarray, ratio: float, n: int,
@@ -244,16 +243,13 @@ def full_statistic(x, cfg: BlockConfig, t0: float, t1: float) -> float:
 
 
 def _decide(rule: Rule, x, cfg: BlockConfig, alpha: float, null: NullSample) -> TestOutcome:
-    q, threshold = rule.threshold(null, alpha)
-    rule.check(cfg)
-    statistic = _statistic(as_series(x, cfg), cfg, rule.splits)
+    calibration = rule.calibration(cfg, null, alpha)
+    statistic = _statistic(as_series(x, cfg), cfg, calibration.knots)
     return TestOutcome(
-        method=rule.test_id,
-        statistic=statistic,
-        threshold=threshold,
-        quantile=q,
-        p_value=nulldist.p_value(null, statistic / rule.factor),
-        reject=statistic > threshold,
+        method=rule.test_id, statistic=statistic,
+        threshold=calibration.threshold, quantile=calibration.quantile,
+        p_value=nulldist.p_value(null, statistic / calibration.factor),
+        reject=statistic > calibration.threshold,
     )
 
 
@@ -308,9 +304,14 @@ def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def lrv_estimate(x) -> float:
-    """The long-run variance estimate of ``cusum_lrv``, scaled back by 4**e."""
+    """The long-run variance estimate of ``cusum_lrv``, scaled back by 4**e.
+    Raises ConfigurationError when that exceeds the float range (data above ~2**511)."""
     _, sigma2, e = cusum_lrv(as_series(x))
-    return float(np.ldexp(sigma2, 2 * int(e)))
+    try:
+        return math.ldexp(float(sigma2), 2 * int(e))
+    except OverflowError:
+        raise ConfigurationError("the long-run variance estimate exceeds the float range in "
+                                 "the units of the data; rescale the series") from None
 
 
 def lrv_critical_value(alpha: float) -> float:

@@ -326,6 +326,20 @@ def test_cmd_test_short_series(capsys, cache_dir, tmp_path):
     assert "too short" in err
 
 
+def test_cmd_test_checks_the_geometry_before_the_null_cache(capsys, tmp_path):
+    path = tmp_path / "short.csv"
+    write_series(path, np.random.default_rng(2).standard_normal(200))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, err = run_cli(
+        capsys,
+        ["test", "--input", str(path), "--method", "full-v2",
+         "--block-size", "3", "--null-cache", str(empty)],
+    )
+    assert code == 1
+    assert out == "" and "too short" in err and "null cache" not in err
+
+
 def test_cmd_test_env_cache_dir(capsys, cache_dir, gauss_csv, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
     code, out, _ = run_cli(capsys, ["test", "--input", str(gauss_csv), "--method", "simple"])

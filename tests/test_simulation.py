@@ -321,9 +321,10 @@ def test_simulate_applies_the_rules_test_applies(usable_cpus, fake_pools, nulls,
             # the LRV test's threshold scales its critical value by sigma
             want = outcome.quantile if name == "r_lrv" else outcome.threshold
             assert threshold.hex() == want.hex(), name
+        assert task[3] == {name: stats.RULES[name].knots(cfg) for name in stats.RULES}
 
     counts, degenerate = simulation._scenario_chunk(
-        cell, tuple(decide), pool.tasks[0][2], 0, cell.replications)
+        cell, tuple(decide), *pool.tasks[0][2:4], 0, cell.replications)
     series = [gen_series(cell, rep) for rep in range(cell.replications)]
     expected = {name: sum(rule(x).reject for x in series) for name, rule in decide.items()}
     assert counts == expected
@@ -345,12 +346,13 @@ def test_stacked_chunk_counts_equal_the_single_series_decisions(nulls, size):
         "sn_full_v1": lambda x: stats.decide_full(x, cfg, stats.TestParams.v1(cell.alpha), full),
         "sn_full_v2": lambda x: stats.decide_full(x, cfg, stats.TestParams.v2(cell.alpha), full),
     }
-    thresholds = {name: rule.threshold(nulls[rule.kind], cell.alpha)[1]
+    thresholds = {name: rule.calibration(cfg, nulls[rule.kind], cell.alpha).threshold
                   for name, rule in stats.RULES.items()}
     thresholds["r_lrv"] = stats.lrv_critical_value(cell.alpha)
+    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
     start = 3
     counts, degenerate = simulation._scenario_chunk(
-        cell, tuple(decide), thresholds, start, start + size)
+        cell, tuple(decide), thresholds, knots, start, start + size)
     series = [gen_series(cell, rep) for rep in range(start, start + size)]
     assert counts == {name: sum(rule(x).reject for x in series) for name, rule in decide.items()}
     assert degenerate == dict.fromkeys(decide, 0)
@@ -364,7 +366,8 @@ def test_stacked_tally_counts_a_zero_row_as_degenerate():
     thresholds = dict.fromkeys(stats.RULES, 0.0)
     thresholds["r_lrv"] = stats.lrv_critical_value(0.05)
     rejections, degenerate = dict.fromkeys(ALL_TESTS, 0), dict.fromkeys(ALL_TESTS, 0)
-    simulation._tally(x, cfg, ALL_TESTS, thresholds, rejections, degenerate)
+    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
+    simulation._tally(x, cfg, ALL_TESTS, thresholds, knots, rejections, degenerate)
     assert degenerate == dict.fromkeys(ALL_TESTS, 1)
     # every statistic of a non-zero row is positive, above a zero threshold
     assert {name: rejections[name] for name in stats.RULES} == dict.fromkeys(stats.RULES, 3)
@@ -378,9 +381,11 @@ def test_scenario_chunk_memory_is_linear():
     cell = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                     n=100_000, replications=2)
     thresholds = dict.fromkeys(ALL_TESTS, 3.0)
+    cfg = make_block_config(cell.n)
+    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
     tracemalloc.start()
     try:
-        simulation._scenario_chunk(cell, ALL_TESTS, thresholds, 0, 2)
+        simulation._scenario_chunk(cell, ALL_TESTS, thresholds, knots, 0, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,6 +519,7 @@ def test_demo_synthetic_reports_each_degenerate_test(tmp_path):
     out = tmp_path / "demo.csv"
     proc = _demo_synthetic("--n", "100", "--mean", "0", "--noise", "0", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
+    assert [float(v) for v in out.read_text().split()] == [0.0] * 100
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == ["sn_simple", "sn_full_v1", "sn_full_v2", "r_lrv"]
@@ -532,6 +538,17 @@ def test_demo_synthetic_bad_arguments_are_usage_errors(tmp_path, flags, message)
     assert "usage:" in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
     assert not out.exists()
+
+
+def test_run_grid_checks_the_null_kind_before_any_pool(usable_cpus, fake_pools, nulls):
+    usable_cpus(64)
+    cell = Scenario(0, 0, 1.0, "iid", 200, 40)
+    wrong = {nulldist.FULL_RATIO: nulls[nulldist.SIMPLE_RATIO]}
+    with pytest.raises(ConfigurationError, match="^need a full-ratio sample, got simple-ratio$"):
+        run_grid([cell], tests=("sn_full_v2",), nulls=wrong, workers=2)
+    assert fake_pools == []
+    run_grid([cell], tests=("sn_full_v2",), nulls=nulls, workers=2)
+    assert len(fake_pools) == 1
 
 
 def test_run_grid_refuses_a_cell_that_overflows(nulls):

@@ -285,7 +285,8 @@ def test_kernels_read_raw_and_unit_scaled_stacks_alike(monkeypatch, block_bytes)
     x[:, ::7] = 0.0
     x[:, 3::11] = -0.0
     cfg = make_block_config(n)
-    kernels = [lambda values, rule=rule: rule.ratio(values, cfg) for rule in stats.RULES.values()]
+    kernels = [lambda values, rule=rule: stats._ratios(values, cfg, [rule.knots(cfg)])[0]
+               for rule in stats.RULES.values()]
     for kernel in (*kernels, lambda values: stats.cusum_lrv(values)[:2]):
         raw, scaled = kernel(x), kernel(np.ldexp(x, -_exponent(x)))
         rows = [kernel(row) for row in x]
@@ -329,7 +330,8 @@ def test_blocked_full_ratio_equals_full_length_rows(rows, blocks, extra):
     x = boundary_series(rows, n)
     u, cfg = np.ldexp(x, -_exponent(x)), make_block_config(n)
     for rule in (stats.RULES["sn_full_v1"], stats.RULES["sn_full_v2"]):
-        blocked, whole = rule.ratio(u, cfg), full_length_ratio(u, cfg, *rule.splits)
+        blocked = stats._ratios(u, cfg, [rule.knots(cfg)])[0]
+        whole = full_length_ratio(u, cfg, *rule.splits)
         assert hexes(blocked[0]) == hexes(whole[0]), rule.test_id
         assert hexes(blocked[1]) == hexes(whole[1]), rule.test_id
         if rows > 1:
@@ -356,7 +358,7 @@ def test_blocks_of_columns_hold_whole_blocks(monkeypatch, block_bytes, n, block_
     x = boundary_series(7, n)
     u, cfg = np.ldexp(x, -_exponent(x)), make_block_config(n, block_length)
     for rule in stats.RULES.values():
-        blocked = rule.ratio(u, cfg)
+        blocked = stats._ratios(u, cfg, [rule.knots(cfg)])[0]
         if rule.splits is None:
             whole = simple_whole_ratio(u, cfg)
         else:
@@ -378,14 +380,14 @@ def test_joint_ratios_equal_the_per_rule_calls(monkeypatch, block_bytes, n, bloc
         monkeypatch.setattr(nulldist, "_BLOCK_BYTES", block_bytes)
     x = boundary_series(7, n)
     cfg = make_block_config(n, block_length)
-    tests = [rule.splits for rule in stats.RULES.values()]
+    tests = [rule.knots(cfg) for rule in stats.RULES.values()]
     for data in (x, x[0]):
         joint = stats._ratios(data, cfg, tests)
         assert len(joint) == len(tests)
-        for splits, (numerator, denominator) in zip(tests, joint):
-            single = stats._ratios(data, cfg, [splits])[0]
-            assert numerator.tobytes() == single[0].tobytes(), (splits, n)
-            assert denominator.tobytes() == single[1].tobytes(), (splits, n)
+        for knots, (numerator, denominator) in zip(tests, joint):
+            single = stats._ratios(data, cfg, [knots])[0]
+            assert numerator.tobytes() == single[0].tobytes(), (knots, n)
+            assert denominator.tobytes() == single[1].tobytes(), (knots, n)
 
 
 def test_full_rules_bits_when_remainder_ranks_enter_the_top_rows():
@@ -444,9 +446,9 @@ def test_stacked_statistics_equal_the_single_series_calls():
         assert np.ldexp(np.sqrt(variance) * q, e).hex() == single.threshold.hex()
     assert sigma2[-1] == 0.0
     for rule in stats.RULES.values():
-        numerator, denominator = rule.ratio(u, cfg)
+        numerator, denominator = stats._ratios(u, cfg, [rule.knots(cfg)])[0]
         for row, top, bottom in zip(x[:-1], numerator, denominator):
-            single = stats._statistic(row, cfg, rule.splits)
+            single = stats._statistic(row, cfg, rule.knots(cfg))
             assert (top / bottom).hex() == single.hex(), rule.test_id
         assert numerator[-1] == denominator[-1] == 0.0
 
@@ -527,10 +529,15 @@ def test_full_statistic_consistency_grows_with_n():
 
 # --- decisions ---------------------------------------------------------------
 
-def test_params_threshold_factors():
-    assert stats.RULES["sn_full_v1"].factor == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert stats.RULES["sn_full_v2"].factor == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-12)
-    assert stats.RULES["sn_simple"].factor == 1.0
+def test_params_threshold_factors(null_simple_small, null_full_small):
+    cfg = make_block_config(200)
+
+    def factor(test_id, null):
+        return stats.RULES[test_id].calibration(cfg, null, 0.05).factor
+
+    assert factor("sn_full_v1", null_full_small) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert factor("sn_full_v2", null_full_small) == pytest.approx(math.sqrt(8.0 / 3.0), abs=1e-12)
+    assert factor("sn_simple", null_simple_small) == 1.0
 
 
 def test_params_validation(null_simple_small, null_full_small):
@@ -582,6 +589,21 @@ def test_decide_simple_wrong_kind(null_full_small):
         stats.decide_simple(x, make_block_config(200), 0.05, null_full_small)
 
 
+def test_decide_checks_the_null_kind_then_the_level_then_the_geometry(null_simple_small,
+                                                                      null_full_small):
+    # 20 points in 6 blocks of 3 are too few, and a level of 1e-9 is below the
+    # resolution of 4000 draws
+    x = np.random.default_rng(12).standard_normal(20)
+    cfg = make_block_config(20)
+    rule = stats.RULES["sn_full_v2"]
+    with pytest.raises(ConfigurationError, match="^need a full-ratio sample, got simple-ratio$"):
+        rule.decide(x, cfg, 1e-9, null_simple_small)
+    with pytest.raises(ConfigurationError, match="below the resolution"):
+        rule.decide(x, cfg, 1e-9, null_full_small)
+    with pytest.raises(ConfigurationError, match="series too short"):
+        rule.decide(x, cfg, 0.05, null_full_small)
+
+
 def test_decide_full_threshold_and_consistency(null_full_small):
     rng = np.random.default_rng(13)
     n_sample = null_full_small.replications
@@ -627,6 +649,45 @@ def test_decide_full_zero_statistic(null_full_small):
     assert out.p_value == 1.0
 
 
+def positions(spec):
+    """The step positions of a spec such as "1-11,13,85-99"."""
+    out = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+# The noise-free steps each rule cannot detect at the default geometry, at the
+# thresholds of the session nulls; position i is a change after observation i.
+BLIND = {
+    100: {"sn_simple": "96,98,99", "sn_full_v1": "1-11,13,18,81,83,85-99",
+          "sn_full_v2": "1-8,10,12,81,82,85-99"},
+    2000: {"sn_simple": "1989-1999", "sn_full_v1": "1-19,26-30,1942,1943,1949,1955-1999",
+           "sn_full_v2": "1-18,25-27,1956-1999"},
+}
+
+
+@pytest.mark.parametrize("n, edge", [(100, 96), (2000, 1977)])
+def test_noise_free_edge_steps_the_rules_cannot_detect(null_simple_small, null_full_small,
+                                                       n, edge):
+    # one unit step per position; the ratio is invariant to the step's size,
+    # so no size of change at a blind position is detected (0/0 counts as blind)
+    cfg = make_block_config(n)
+    x = (np.arange(1, n + 1) > np.arange(1, n)[:, None]).astype(float)
+    nulls = {null.kind: null for null in (null_simple_small, null_full_small)}
+    for name, rule in stats.RULES.items():
+        calibration = rule.calibration(cfg, nulls[rule.kind], 0.05)
+        numerator, denominator = stats._ratios(x, cfg, [calibration.knots])[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            blind = np.flatnonzero(~(numerator / denominator > calibration.threshold)) + 1
+        assert blind.tolist() == positions(BLIND[n][name]), name
+        if calibration.knots is not None:
+            # the k0 row holds no late offset of a block, whatever the threshold
+            assert (np.flatnonzero(numerator == 0.0) + 1).tolist() == list(range(edge, n)), name
+    assert all(stats.cusum_lrv_test(row).reject for row in x)
+
+
 # --- long-run variance baseline ----------------------------------------------
 
 def test_lrv_estimate_constant_series_is_zero():
@@ -646,6 +707,13 @@ def test_lrv_estimate_ar_long_run_variance():
     x = gen_errors("ar", 100_000, 17)
     # innovation variance 3/4 over (1 - 1/2)^2
     assert stats.lrv_estimate(x) == pytest.approx(3.0, abs=0.3)
+
+
+def test_lrv_estimate_refuses_an_estimate_beyond_the_float_range():
+    # the scaled estimate is finite, but 4**e of data near 2**600 is not
+    x = np.ldexp(np.random.default_rng(0).standard_normal(500), 600)
+    with pytest.raises(ConfigurationError, match="long-run variance estimate exceeds"):
+        stats.lrv_estimate(x)
 
 
 def test_lrv_estimate_matches_direct_sum():
