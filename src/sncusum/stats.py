@@ -199,7 +199,12 @@ def _statistic(x: np.ndarray, cfg: BlockConfig, knots) -> float:
     if denominator == 0.0:
         what = "constant-zero" if knots is None else "constant"
         raise DegenerateStatisticError(f"self-normalizer is zero ({what} series?)")
-    return float(numerator / denominator)
+    with np.errstate(over="ignore"):
+        statistic = float(numerator / denominator) + 0.0  # +0.0, where _sup gave -0.0
+    if math.isinf(statistic):
+        raise DegenerateStatisticError("self-normalizer is below the float range relative to "
+                                       "the numerator")
+    return statistic
 
 
 def simple_statistic_from_grid(grid: PartialSumGrid) -> float:

@@ -139,6 +139,52 @@ def test_cmd_test_lrv_refuses_a_statistic_beyond_the_float_range(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cmd_test_lrv_threshold_resolves_a_tiny_level(capsys, tmp_path):
+    # the threshold's tail must be alpha: a statistic with p-value 6.3e-13 is
+    # no rejection at alpha = 1e-13
+    x = np.random.default_rng(5).standard_normal(500)
+    x[250:] += 0.6
+    path = tmp_path / "shift.csv"
+    write_series(path, x)
+    code, out, err = run_cli(capsys, ["test", "--input", str(path), "--method", "lrv",
+                                      "--alpha", "1e-13"])
+    assert code == 0, err
+    result = json.loads(out)
+    assert result["p_value"] > 1e-13
+    assert result["reject"] is False
+
+
+def test_cmd_test_reports_a_zero_statistic_as_positive_zero(capsys, cache_dir, tmp_path):
+    x = np.zeros(500)
+    x[-1] = 5.0
+    path = tmp_path / "edge.csv"
+    write_series(path, x)
+    for method in ("full-v1", "full-v2"):
+        code, out, err = run_cli(capsys, ["test", "--input", str(path), "--method", method,
+                                          "--null-cache", str(cache_dir)])
+        assert code == 0, err
+        assert '"statistic": 0.0,' in out
+
+
+def test_cmd_test_refuses_a_statistic_beyond_the_float_range(cache_dir, tmp_path):
+    # a subnormal self-normalizer under a normal numerator
+    x = np.zeros(500)
+    x[10] = 1.0
+    x[3] = 1e-310
+    path = tmp_path / "subnormal.csv"
+    write_series(path, x)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sncusum.cli", "test", "--input", str(path),
+         "--method", "full-v2", "--null-cache", str(cache_dir)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_DEGENERATE == 2
+    assert proc.stdout == ""
+    assert "below the float range" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cmd_test_sn_rules_finite_at_extreme_scale(capsys, cache_dir, tmp_path):
     # 1e307-scale sums overflow unless the statistics pre-scale the data
     x = np.random.default_rng(3).standard_normal(500)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
 from sncusum import nulldist, stats
-from sncusum.blocks import _exponent, _sup, knot_of, make_block_config
+from sncusum.blocks import (PartialSumGrid, _exponent, _sup, knot_of, make_block_config,
+                            partial_sum)
 from sncusum.errors import ConfigurationError, DegenerateStatisticError
 
 import oracles
@@ -459,6 +460,36 @@ def test_statistic_refuses_a_series_of_another_length():
         stats.full_statistic(np.random.default_rng(12).standard_normal(99), cfg, 1 / 3, 1 / 2)
 
 
+# Every single-series entry, called on a series x of geometry cfg with the
+# session null of each kind.
+SINGLE_SERIES_ENTRIES = {
+    "simple_statistic": lambda x, cfg, nulls: stats.simple_statistic(x, cfg),
+    "full_statistic": lambda x, cfg, nulls: stats.full_statistic(x, cfg, 1 / 3, 1 / 2),
+    "decide_simple": lambda x, cfg, nulls: stats.decide_simple(
+        x, cfg, 0.05, nulls[nulldist.SIMPLE_RATIO]),
+    "decide_full": lambda x, cfg, nulls: stats.decide_full(
+        x, cfg, stats.TestParams.v1(), nulls[nulldist.FULL_RATIO]),
+    **{f"Rule.decide:{test_id}": (lambda x, cfg, nulls, rule=rule:
+                                  rule.decide(x, cfg, 0.05, nulls[rule.kind]))
+       for test_id, rule in stats.RULES.items()},
+    "cusum_lrv_test": lambda x, cfg, nulls: stats.cusum_lrv_test(x),
+    "lrv_estimate": lambda x, cfg, nulls: stats.lrv_estimate(x),
+    "partial_sum": lambda x, cfg, nulls: partial_sum(x, cfg, 0.5, 0.5),
+    "PartialSumGrid.compute": lambda x, cfg, nulls: PartialSumGrid.compute(x, cfg),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", list(SINGLE_SERIES_ENTRIES))
+def test_single_series_entries_refuse_non_finite_input(null_simple_small, null_full_small,
+                                                       entry, bad):
+    x = np.random.default_rng(12).standard_normal(200)
+    x[57] = bad
+    nulls = {nulldist.SIMPLE_RATIO: null_simple_small, nulldist.FULL_RATIO: null_full_small}
+    with pytest.raises(ValueError, match="non-finite"):
+        SINGLE_SERIES_ENTRIES[entry](x, make_block_config(200), nulls)
+
+
 def test_full_statistic_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(6):
@@ -569,6 +600,53 @@ def test_decide_refuses_the_geometry_test_refuses(null_simple_small, null_full_s
         stats.decide_simple(x, cfg, 0.05, null_simple_small)
     with pytest.raises(ConfigurationError, match=r"n=20 < 4 \* n_blocks=24"):
         stats.decide_full(x, cfg, stats.TestParams.v1(), null_full_small)
+
+
+def test_full_statistic_of_a_zero_numerator_is_positive_zero():
+    # a step at the last observation: the full numerator is exactly zero, and
+    # the supremum of its bridge area is -0.0
+    x = np.zeros(500)
+    x[-1] = 5.0
+    cfg = make_block_config(500)
+    for t1 in (1 / 2, 2 / 3):
+        assert math.copysign(1.0, stats.full_statistic(x, cfg, 1 / 3, t1)) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_full_statistic_refuses_a_quotient_beyond_the_float_range():
+    # offsets below k0 cancel in the contrast, so the self-normalizer is
+    # subnormal, and the numerator over it exceeds the float range
+    x = np.zeros(500)
+    x[10] = 1.0
+    x[3] = 1e-310
+    cfg = make_block_config(500)
+    for t1 in (1 / 2, 2 / 3):
+        with pytest.raises(DegenerateStatisticError, match="below the float range"):
+            stats.full_statistic(x, cfg, 1 / 3, t1)
+
+
+def test_reject_and_the_add_one_p_value(monkeypatch):
+    # The simple rule's factor is 1.0, so its threshold is the draw q of rank
+    # ceil((1 - alpha) N) and its p-value reads the statistic itself: p <= alpha
+    # implies reject, and a rejected statistic has p <= alpha + 1/(N + 1).
+    replications, alpha = 100_000, 0.05
+    draws = np.sort(np.abs(np.random.default_rng(27).standard_normal(replications)))
+    null = nulldist.NullSample(nulldist.SIMPLE_RATIO, draws, 300, 0)
+    x = np.random.default_rng(28).standard_normal(200)
+    cfg = make_block_config(200)
+    q = draws[95_000 - 1]
+    for rank in range(94_990, 95_011):
+        for statistic in (float(draws[rank - 1]), float(np.nextafter(draws[rank - 1], np.inf))):
+            monkeypatch.setattr(stats, "_statistic", lambda *args, s=statistic: s)
+            out = stats.decide_simple(x, cfg, alpha, null)
+            assert out.threshold == q
+            assert out.reject == (statistic > q)
+            if out.p_value <= alpha:
+                assert out.reject
+            if out.reject:
+                assert out.p_value <= alpha + 1 / (replications + 1)
+            if rank == 95_000 and statistic > q:  # the bound is reached
+                assert out.p_value == 5_001 / 100_001
 
 
 def test_decide_simple(null_simple_small):
@@ -758,12 +836,17 @@ def test_cusum_lrv_rejects_step_change():
     assert stats.cusum_lrv_test(x, 0.05).reject
 
 
+@pytest.mark.parametrize("alpha", [1e-12, 1e-13, 1e-14])
+def test_lrv_critical_value_resolves_a_tiny_level(alpha):
+    assert 0.99 <= nulldist.kolmogorov_sf(stats.lrv_critical_value(alpha)) / alpha <= 1.01
+
+
 def test_cusum_lrv_p_value_resolves_the_tail():
-    # a unit shift at n = 500 puts the statistic far beyond x = 3.72, where
+    # a unit shift at n = 500 puts the statistic far beyond x = 4.37, where
     # 1 - kolmogorov_cdf is 0.0
     x = np.random.default_rng(21).standard_normal(500)
     x[250:] += 1.0
     out = stats.cusum_lrv_test(x, 0.05)
     sigma = out.threshold / out.quantile
-    assert out.statistic / sigma > 3.72
+    assert out.statistic / sigma > 4.37
     assert out.p_value == pytest.approx(kstwobign.sf(out.statistic / sigma), rel=1e-9)
