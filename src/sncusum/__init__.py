@@ -34,7 +34,6 @@ from sncusum.nulldist import (
     SIMPLE_RATIO,
     NullSample,
     kolmogorov_cdf,
-    kolmogorov_quantile,
     load_sample,
     p_value,
     quantile,
@@ -84,7 +83,6 @@ __all__ = [
     "gen_errors",
     "gen_series",
     "kolmogorov_cdf",
-    "kolmogorov_quantile",
     "load_sample",
     "lrv_estimate",
     "make_block_config",

@@ -233,7 +233,7 @@ def cmd_aggregate(args) -> int:
         if len(fields) != 2:
             raise _ParseError(f"{path}:{lineno}: expected two columns (date,value)")
         date_text, value_text = fields
-        if len(date_text) < 4 or not date_text[:4].isdigit():
+        if len(date_text) < 4 or not date_text[:4].isdecimal():  # the digits int() reads
             raise _ParseError(f"{path}:{lineno}: bad date {date_text!r}")
         year = int(date_text[:4])
         values = by_year.setdefault(year, [])

@@ -25,7 +25,6 @@ with or without one.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 import math
 import os
 import sys
@@ -364,23 +363,6 @@ def kolmogorov_sf(x: float) -> float:
     if not x >= 1.0:  # NaN reaches kolmogorov_cdf's check
         return 1.0 - kolmogorov_cdf(x)
     return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * x * x) for k in range(4, 0, -1))
-
-
-@lru_cache(maxsize=64)
-def kolmogorov_quantile(level: float) -> float:
-    """Inverse of ``kolmogorov_cdf`` by bisection to absolute precision 1e-8."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    lo, hi = 0.0, 2.0
-    while kolmogorov_cdf(hi) < level:
-        hi *= 2.0
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_cdf(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _companion(path) -> str:

@@ -8,6 +8,7 @@ global long-run variance estimate serves as baseline.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -276,17 +277,24 @@ def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The estimate averages the squared difference of adjacent length-m window
     sums over all start positions, scaled by 1/(2m), with m = floor(n**(1/3)).
-    The scaled series fills the first of two n-sized buffers; the second holds
-    the prefix sums, then the sums of the window differences, and the first
-    then the squared window sums.  (j/n) S_n is taken a chunk at a time.
+    One complex buffer of n + 1 entries, led by -0.0 (which -0.0 + v leaves
+    v), holds the scaled series u as its real parts and the window
+    differences u[i] - u[i+m] as its imaginary parts, so one running sum
+    takes both prefix sums: complex addition adds each part on its own, with
+    the bits of two float cumsums.  (j/n) S_n is taken a chunk at a time, and
+    the real parts then take the squared window sums.
     """
     n = x.shape[-1]
     m = max(1, int(n ** (1.0 / 3.0) + 1e-9))
     e = _exponent(x)
-    buffer = np.empty(x.shape[:-1] + (2 * n + 1,))
-    u, csum = buffer[..., :n], buffer[..., n:]
-    np.ldexp(x, -e, out=u)
-    sums = np.cumsum(u, axis=-1, out=csum[..., 1:])
+    pairs = np.empty(x.shape[:-1] + (n + 1,), dtype=complex)
+    sums, diffs = pairs.real, pairs.imag
+    sums[..., 0] = diffs[..., 0] = -0.0
+    np.ldexp(x, -e, out=sums[..., 1:])
+    # summing u[i+j] - u[i+m+j] keeps constant series at exactly zero
+    np.subtract(sums[..., 1 : n - m + 1], sums[..., m + 1 :], out=diffs[..., 1 : n - m + 1])
+    diffs[..., n - m + 1 :] = 0.0
+    np.add.accumulate(pairs, axis=-1, out=pairs)
     width = min(nulldist.block_rows(8 * (x.size // n)), n)
     ramp = np.arange(1.0, width + 1)  # j at the chunk's columns
     line = np.empty(x.shape[:-1] + (width,))
@@ -294,16 +302,12 @@ def cusum_lrv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for lo in range(0, n, width):
         part = np.divide(ramp[: n - lo], n, out=line[..., : n - lo])
         part *= sums[..., -1:]
-        np.subtract(sums[..., lo : lo + width], part, out=part)
+        np.subtract(sums[..., lo + 1 : lo + 1 + width], part, out=part)
         statistic = np.maximum(statistic, _sup(part))
         ramp += width
-    csum[..., 0] = 0.0
-    # summing u[i+j] - u[i+m+j] keeps constant series at exactly zero
-    steps = np.subtract(u[..., : n - m], u[..., m:], out=csum[..., 1 : n - m + 1])
-    np.cumsum(steps, axis=-1, out=steps)
-    # one whole array, so that np.mean sums it pairwise as one
-    windows = np.subtract(csum[..., m : n - m + 1], csum[..., : n - 2 * m + 1],
-                          out=u[..., : n - 2 * m + 1])
+    # one whole row, so that np.mean sums it pairwise as one
+    windows = np.subtract(diffs[..., m : n - m + 1], diffs[..., : n - 2 * m + 1],
+                          out=sums[..., : n - 2 * m + 1])
     windows *= windows
     return statistic / math.sqrt(n), np.mean(windows, axis=-1) / (2 * m), e[..., 0]
 
@@ -319,14 +323,24 @@ def lrv_estimate(x) -> float:
                                  "the units of the data; rescale the series") from None
 
 
+@lru_cache(maxsize=64)
 def lrv_critical_value(alpha: float) -> float:
-    """The LRV-CUSUM test's critical value: the (1 - alpha) Kolmogorov quantile.
-    Refuses an alpha outside (0, 1), or below ~2**-53, where 1 - alpha is 1."""
+    """The LRV-CUSUM test's critical value: the Kolmogorov quantile whose tail
+    ``kolmogorov_sf`` is alpha, by bisection to absolute precision 1e-8, which
+    keeps the tail within 1e-6 of alpha in relative terms down to 1e-300.
+    Refuses an alpha outside (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} not in (0, 1)")
-    if 1.0 - alpha == 1.0:
-        raise ConfigurationError(f"alpha={alpha} is too small for the LRV test: 1 - alpha is 1")
-    return nulldist.kolmogorov_quantile(1.0 - alpha)
+    lo, hi = 0.0, 2.0
+    while nulldist.kolmogorov_sf(hi) > alpha:
+        hi *= 2.0
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if nulldist.kolmogorov_sf(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def cusum_lrv_test(x, alpha: float = 0.05) -> TestOutcome:

@@ -117,7 +117,7 @@ def test_c7_fclt_variance():
 
 
 def test_c8_kolmogorov_and_lrv_level():
-    q = nulldist.kolmogorov_quantile(0.95)
+    q = stats.lrv_critical_value(0.05)
     reps, n = 2000, 500
     rejected = 0
     for rep_idx in range(reps):

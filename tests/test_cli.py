@@ -228,12 +228,17 @@ def test_cmd_test_refuses_level_outside_unit_interval(capsys, cache_dir, gauss_c
 
 
 @pytest.mark.parametrize("alpha", ["1e-17", "5e-17"])
-def test_cmd_test_lrv_names_an_alpha_whose_complement_rounds_to_one(capsys, gauss_csv, alpha):
-    # below about 2**-53, 1 - alpha is 1.0: the error names the alpha given
-    code, out, err = run_cli(capsys, ["test", "--input", str(gauss_csv), "--method", "lrv",
-                                      "--alpha", alpha])
-    assert (code, out) == (1, "")
-    assert f"alpha={float(alpha)}" in err
+def test_cmd_test_lrv_resolves_an_alpha_whose_complement_rounds_to_one(capsys, gauss_csv, alpha):
+    # below about 2**-53, 1 - alpha is 1.0; the threshold is found from the tail itself
+    thresholds = []
+    for level in (alpha, "0.05"):
+        code, out, _ = run_cli(capsys, ["test", "--input", str(gauss_csv), "--method", "lrv",
+                                        "--alpha", level])
+        assert code == 0
+        thresholds.append(json.loads(out)["threshold"])
+    assert math.isfinite(thresholds[0])
+    ratio = stats.lrv_critical_value(float(alpha)) / stats.lrv_critical_value(0.05)
+    assert thresholds[0] / thresholds[1] == pytest.approx(ratio, rel=1e-12)
 
 
 def test_cmd_test_null_pvalues_approximately_uniform(capsys, cache_dir, tmp_path):
@@ -582,10 +587,21 @@ def test_simulate_refuses_bad_cells_and_repeated_tests(capsys, cache_dir, tmp_pa
 
 
 @pytest.mark.parametrize("alpha", ["1e-17", "5e-17"])
+def test_simulate_writes_tables_at_an_lrv_alpha_whose_complement_rounds_to_one(capsys, tmp_path,
+                                                                               alpha):
+    out = tmp_path / "sim"
+    code, stdout, _ = run_cli(capsys, ["simulate", "--tests", "r_lrv", "--alpha", alpha,
+                                       "--grid", "n=100", "--reps", "40", "--out", str(out)])
+    assert code == 0
+    written = json.loads(stdout)["written"]
+    assert str(out / "cells.csv") in written
+    assert all(Path(path).exists() for path in written)
+
+
+@pytest.mark.parametrize("alpha", ["0", "1"])
 def test_simulate_refuses_an_lrv_alpha_before_any_worker_starts(capsys, tmp_path, usable_cpus,
                                                                fake_pools, alpha):
-    # 1 - alpha rounds to 1.0: the error names the alpha given, and no pool
-    # is built and no table written
+    # the error names the alpha given, and no pool is built and no table written
     usable_cpus(64)
     out = tmp_path / "sim"
     code, stdout, err = run_cli(capsys, ["simulate", "--tests", "r_lrv", "--alpha", alpha,
@@ -751,6 +767,11 @@ def test_aggregate_bad_rows(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
     assert code == 3
     assert ":3:" in err and "finite" in err
+    # a year led by a digit that int() does not read (a superscript two)
+    src.write_text("2020-01-01,1.0\n\u00b2020-01-02,2.0\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
+    assert code == 3
+    assert ":2: bad date" in err
     src.write_text("date,value\n2001-07-01,1e308\n2001-07-02,1e308\n")
     code, _, err = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
     assert code == 3

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstwobign
 
-from sncusum import nulldist
+from sncusum import nulldist, stats
 from sncusum.errors import CacheFormatError, CacheProvenanceError, ConfigurationError
 from sncusum.nulldist import (
     FULL_RATIO,
@@ -27,7 +27,6 @@ from sncusum.nulldist import (
     critical_value,
     block_rows,
     kolmogorov_cdf,
-    kolmogorov_quantile,
     kolmogorov_sf,
     load_sample,
     map_chunks,
@@ -410,16 +409,17 @@ def test_kolmogorov_cdf_is_finite_and_fast_at_the_extremes():
 
 
 def test_kolmogorov_quantile_value():
-    q = kolmogorov_quantile(0.95)
+    # the LRV test's critical value is the Kolmogorov quantile at 1 - alpha
+    q = stats.lrv_critical_value(0.05)
     assert 1.3575 <= q <= 1.3585
     for lvl in (0.5, 0.9, 0.99):
-        assert kolmogorov_quantile(lvl) == pytest.approx(kstwobign.ppf(lvl), abs=1e-6)
+        assert stats.lrv_critical_value(1 - lvl) == pytest.approx(kstwobign.ppf(lvl), abs=1e-6)
 
 
 def test_kolmogorov_quantile_validation():
     for bad in (0.0, 1.0, -1.0):
         with pytest.raises(ValueError):
-            kolmogorov_quantile(bad)
+            stats.lrv_critical_value(bad)
 
 
 # --- cache -----------------------------------------------------------------------

@@ -423,6 +423,44 @@ def test_cusum_lrv_test_bits_at_n_200000():
     assert outcome.threshold.hex() == "0x1.56cd79c44785dp+0"
 
 
+def two_prefix_sum_lrv(x):
+    """``cusum_lrv`` by the two running sums it pairs: each a float cumsum of
+    the unit-scaled series or of its window differences, the line (j/n) S_n a
+    chunk at a time as the kernel walks it, and the window sums as one
+    contiguous array, which ``np.mean`` sums pairwise."""
+    n = x.shape[-1]
+    m = max(1, int(n ** (1.0 / 3.0) + 1e-9))
+    e = _exponent(x)
+    u = np.ldexp(x, -e)
+    sums = np.cumsum(u, axis=-1)
+    width = min(nulldist.block_rows(8 * (x.size // n)), n)
+    statistic = 0.0
+    for lo in range(0, n, width):
+        ramp = np.arange(lo + 1.0, min(lo + width, n) + 1)
+        line = ramp / n * sums[..., -1:]
+        statistic = np.maximum(statistic, _sup(sums[..., lo : lo + width] - line))
+    steps = np.cumsum(u[..., : n - m] - u[..., m:], axis=-1)
+    steps = np.concatenate([np.zeros(x.shape[:-1] + (1,)), steps], axis=-1)
+    windows = steps[..., m:] - steps[..., : n - 2 * m + 1]
+    return statistic / math.sqrt(n), np.mean(windows * windows, axis=-1) / (2 * m), e[..., 0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(3, 4), (3, 5), (3, 8), (3, 120), (3, 2000), (3, 200_000),
+                                   (16, 2000)])
+def test_cusum_lrv_has_the_bits_of_two_prefix_sums(shape):
+    # rows scaled in turn by 2**1000, 2**-1060 (subnormal) and 1, with +0.0
+    # and -0.0 planted, one by one and as a stack
+    rng = np.random.default_rng([31, *shape])
+    x = rng.standard_normal(shape) + rng.uniform(-1.0, 1.0, (shape[0], 1))
+    x = np.ldexp(x, np.resize([1000, -1060, 0], shape[0])[:, None])
+    x[:, ::7] = 0.0
+    x[:, 3::11] = -0.0
+    for values in (*x, x):
+        for got, want in zip(stats.cusum_lrv(values), two_prefix_sum_lrv(values)):
+            assert got.tobytes() == want.tobytes()
+
+
 def stack_rows():
     """Plain rows, rows scaled by 2**1000 and 2**-1000, and an all-zero row of
     length 250, which is not a multiple of the block length 7."""
@@ -440,7 +478,7 @@ def test_stacked_statistics_equal_the_single_series_calls():
     u = np.ldexp(x, -_exponent(x))
     # first, so that the rules below would see any row it overwrote
     statistic, sigma2, _ = stats.cusum_lrv(u)
-    q = nulldist.kolmogorov_quantile(0.95)
+    q = stats.lrv_critical_value(0.05)
     for row, value, variance, e in zip(x[:-1], statistic, sigma2, _exponent(x)[:, 0]):
         single = stats.cusum_lrv_test(row, 0.05)
         assert np.ldexp(value, e).hex() == single.statistic.hex()
@@ -824,7 +862,7 @@ def test_cusum_lrv_outcome_fields():
     x = np.random.default_rng(20).standard_normal(400)
     out = stats.cusum_lrv_test(x, 0.05)
     assert out.method == "r_lrv"
-    assert out.quantile == pytest.approx(nulldist.kolmogorov_quantile(0.95))
+    assert out.quantile == pytest.approx(stats.lrv_critical_value(0.05))
     assert out.reject == (out.statistic > out.threshold)
     assert 0.0 <= out.p_value <= 1.0
 
@@ -836,9 +874,22 @@ def test_cusum_lrv_rejects_step_change():
     assert stats.cusum_lrv_test(x, 0.05).reject
 
 
-@pytest.mark.parametrize("alpha", [1e-12, 1e-13, 1e-14])
+@pytest.mark.parametrize("alpha", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 6e-17, 1e-17, 1e-20,
+                                   1e-100, 1e-300])
 def test_lrv_critical_value_resolves_a_tiny_level(alpha):
     assert 0.99 <= nulldist.kolmogorov_sf(stats.lrv_critical_value(alpha)) / alpha <= 1.01
+
+
+@pytest.mark.parametrize("alpha, bits", [
+    (0.1, "0x1.394e181000000p+0"),
+    (0.05, "0x1.5bac5a3000000p+0"),
+    (0.025, "0x1.7aeed63000000p+0"),
+    (0.01, "0x1.a0abf0f000000p+0"),
+    (0.001, "0x1.f310c49000000p+0"),
+])
+def test_lrv_critical_value_bits(alpha, bits):
+    # pinned from the bisection on the cdf at 1 - alpha, before the one on the tail
+    assert stats.lrv_critical_value(alpha).hex() == bits
 
 
 def test_cusum_lrv_p_value_resolves_the_tail():
