@@ -83,9 +83,7 @@ def as_series(values, cfg: BlockConfig | None = None) -> np.ndarray:
         raise ValueError(f"series must be 1-dimensional, got shape {x.shape}")
     if x.size < 4:
         raise ValueError(f"series too short: n={x.size} < 4")
-    # a NaN or inf reaches the max or the min, with no n-byte mask
-    if not (math.isfinite(np.maximum.reduce(x)) and math.isfinite(np.minimum.reduce(x))):
-        raise ValueError("series contains non-finite values")
+    _exponent(x)  # refuses a NaN or inf
     if cfg is not None and x.size != cfg.n:
         raise ValueError(f"series length {x.size} does not match n={cfg.n}")
     return x
@@ -97,9 +95,12 @@ def _sup(values: np.ndarray) -> np.ndarray:
 
 
 def _exponent(x: np.ndarray) -> np.ndarray:
-    """e, the binary exponent of max|x| along the last axis (0 for a zero
-    row), kept as a last axis of length one: x times 2**-e lies in (-1, 1)."""
-    return np.frexp(_sup(x))[1][..., None]
+    """e, the binary exponent of max|x| along the last axis (0 for a zero row),
+    kept as a last axis: x times 2**-e lies in (-1, 1); ValueError on a NaN or inf."""
+    sup = _sup(x)
+    if not math.isfinite(np.maximum.reduce(sup, axis=None)):  # the max keeps a NaN or inf
+        raise ValueError("series contains non-finite values")
+    return np.frexp(sup)[1][..., None]
 
 
 def _check_unit(name: str, value: float) -> None:

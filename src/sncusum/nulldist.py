@@ -31,6 +31,7 @@ import sys
 
 import numpy as np
 
+from sncusum.blocks import _sup
 from sncusum.errors import CacheFormatError, CacheProvenanceError, ConfigurationError
 
 SIMPLE_RATIO = "simple-ratio"
@@ -265,12 +266,12 @@ def _simulate_chunk(kind: str, grid_steps: int, seed: int, start: int, stop: int
             rng.standard_normal((2, grid_steps), out=rows)
         np.cumsum(paths, axis=-1, out=paths)
         motion, second = paths[:, 0], paths[:, 1]
-        numerator = np.maximum(motion.max(axis=-1), -motion.min(axis=-1)) / root
+        numerator = _sup(motion) / root
         if kind == SIMPLE_RATIO:
             second = second / root  # the bridge is not monotone in the walk: divide first
-            denominator = np.abs(second - chord * second[:, -1:]).max(axis=-1)
+            denominator = _sup(second - chord * second[:, -1:])
         else:
-            denominator = np.maximum(second.max(axis=-1), -second.min(axis=-1)) / root
+            denominator = _sup(second) / root
         out[lo - start : lo - start + len(paths)] = numerator / denominator
     return out
 

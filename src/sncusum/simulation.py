@@ -70,6 +70,7 @@ def parse_grid(spec: str) -> dict[str, list]:
     """
     by_key = {axis.key: column for column, axis in AXES.items()}
     grid = {column: [axis.default] for column, axis in AXES.items()}
+    given = set()
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -80,6 +81,9 @@ def parse_grid(spec: str) -> dict[str, list]:
         key = key.strip()
         if key not in by_key:
             raise ValueError(f"unknown grid key {key!r}; expected one of {sorted(by_key)}")
+        if key in given:  # its later values would replace the earlier ones
+            raise ValueError(f"repeated grid key {key!r}")
+        given.add(key)
         column = by_key[key]
         try:
             grid[column] = [AXES[column].parse(v.strip()) for v in values.split(",")]
@@ -268,21 +272,23 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, knots: dict, st
         with np.errstate(over="ignore"):  # c_sigma near the float limit overflows
             for rep, row, stream in zip(range(lo, stop), x, streams):
                 row[:] = gen_series(scenario, rep, stream)
-        if not np.isfinite(x).all():
-            raise ValueError("series contains non-finite values")
         _tally(x, cfg, tests, thresholds, knots, rejections, degenerate)
     return rejections, degenerate
 
 
 def check_grid(scenarios, tests=ALL_TESTS) -> list[stats.Rule]:
     """The rules of the self-normalized ``tests``; ConfigurationError unless every
-    test id is known and unrepeated and every rule admits every cell's geometry."""
+    test id is known and unrepeated, no cell repeats an earlier one (it would
+    rerun the same streams) and every rule admits every cell's geometry."""
     unknown = set(tests) - set(ALL_TESTS)
     if unknown:
         raise ConfigurationError(f"unknown test identifier(s): {sorted(unknown)}")
     repeated = sorted(name for name, count in Counter(tests).items() if count > 1)
     if repeated:
         raise ConfigurationError(f"repeated test identifier(s): {repeated}")
+    cell = next((sc for sc, count in Counter(scenarios).items() if count > 1), None)
+    if cell is not None:
+        raise ConfigurationError(f"repeated cell: {cell}")
     rules = [stats.RULES[name] for name in tests if name in stats.RULES]
     for scenario, rule in itertools.product(scenarios, rules):
         rule.knots(make_block_config(scenario.n, scenario.block_length))

@@ -18,6 +18,14 @@ from sncusum.simulation import gen_errors, mean_value, sigma_value
 
 SIGMA_SQUARED_INTEGRALS = {0: 1.0, 1: 13.0 / 12.0, 2: 9.0 / 8.0, 3: 5.0 / 4.0}
 
+# The settings of the checks: the oracle's absolute tolerance, the mean
+# formula's (t, s) grid and tolerance in units of block_length / n, and the
+# FCLT variance's relative tolerance.
+_ORACLE_TOLERANCE = 1e-12
+_MEAN_GRID_POINTS = 50
+_MEAN_TOLERANCE_FACTOR = 5.0
+_FCLT_TOLERANCE = 0.1
+
 
 @dataclass
 class OracleReport:
@@ -94,7 +102,6 @@ def check_partial_sum_oracle(
     cases: int = 1000,
     max_n: int = 200,
     seed: int = 0,
-    tolerance: float = 1e-12,
 ) -> OracleReport:
     """Optimized vs. brute-force partial sums on random configurations."""
     rng = np.random.default_rng(seed)
@@ -109,29 +116,23 @@ def check_partial_sum_oracle(
     return OracleReport(
         name="partial-sum-oracle",
         deviation=worst,
-        tolerance=tolerance,
+        tolerance=_ORACLE_TOLERANCE,
         params={"cases": cases, "max_n": max_n, "seed": seed},
     )
 
 
-def check_mean_formula(
-    mean,
-    n: int,
-    grid_points: int = 50,
-    tolerance_factor: float = 5.0,
-    label: str | None = None,
-) -> OracleReport:
+def check_mean_formula(mean, n: int, label: str | None = None) -> OracleReport:
     """Noiseless partial sums vs. the closed-form mean approximation.
 
     Evaluates both on a grid of (t, s) pairs; the tolerance is
-    ``tolerance_factor * block_length / n``.
+    ``_MEAN_TOLERANCE_FACTOR * block_length / n``.
     """
     cfg = make_block_config(n)
     sample_points = np.arange(1, n + 1) / n
     x = mean_value(mean, sample_points) if isinstance(mean, int) else np.vectorize(mean)(sample_points)
     x = np.asarray(x, dtype=float)
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _MEAN_GRID_POINTS)
     worst = 0.0
     for t in grid:
         for s in grid:
@@ -140,8 +141,8 @@ def check_mean_formula(
     return OracleReport(
         name=f"mean-formula-{label or mean}-n{n}",
         deviation=worst,
-        tolerance=tolerance_factor * cfg.block_length / n,
-        params={"n": n, "block_length": cfg.block_length, "grid_points": grid_points},
+        tolerance=_MEAN_TOLERANCE_FACTOR * cfg.block_length / n,
+        params={"n": n, "block_length": cfg.block_length, "grid_points": _MEAN_GRID_POINTS},
     )
 
 
@@ -150,7 +151,6 @@ def check_fclt_variance(
     n: int = 2000,
     replications: int = 5000,
     seed: int = 0,
-    tolerance: float = 0.1,
 ) -> OracleReport:
     """Sample variance of the scaled full-sample sum vs. its limit.
 
@@ -168,18 +168,18 @@ def check_fclt_variance(
     return OracleReport(
         name=f"fclt-variance-sigma{sigma_id}",
         deviation=deviation,
-        tolerance=tolerance,
+        tolerance=_FCLT_TOLERANCE,
         params={"n": n, "replications": replications, "seed": seed, "target": target},
     )
 
 
 def run_all_checks(seed: int = 0) -> list[OracleReport]:
     """The default validation battery."""
-    reports = [check_partial_sum_oracle(seed=seed, tolerance=1e-12)]
+    reports = [check_partial_sum_oracle(seed=seed)]
     for n in (200, 2000):
-        reports.append(check_mean_formula(0, n, tolerance_factor=5.0, label="mu0"))
-        reports.append(check_mean_formula(3, n, tolerance_factor=5.0, label="mu3"))
-        reports.append(check_mean_formula(lambda v: v, n, tolerance_factor=5.0, label="ramp"))
+        reports.append(check_mean_formula(0, n, label="mu0"))
+        reports.append(check_mean_formula(3, n, label="mu3"))
+        reports.append(check_mean_formula(lambda v: v, n, label="ramp"))
     for sigma_id in (0, 1, 2):
-        reports.append(check_fclt_variance(sigma_id, seed=seed, tolerance=0.1))
+        reports.append(check_fclt_variance(sigma_id, seed=seed))
     return reports

@@ -86,8 +86,7 @@ def test_c4_power_monotone_in_n(null_full_a):
 
 
 def test_c5_oracle_equivalence():
-    rep = validation.check_partial_sum_oracle(cases=1000, max_n=200, seed=46,
-                                              tolerance=1e-12)
+    rep = validation.check_partial_sum_oracle(cases=1000, max_n=200, seed=46)
     report("C5 oracle-equivalence", rep.passed,
            f"max deviation {rep.deviation:.3g} <= 1e-12 over 1000 cases")
 
@@ -95,8 +94,7 @@ def test_c5_oracle_equivalence():
 def test_c6_mean_formula_residual():
     devs = {}
     for n in (200, 2000):
-        rep = validation.check_mean_formula(lambda v: v, n, tolerance_factor=5.0,
-                                            label="ramp")
+        rep = validation.check_mean_formula(lambda v: v, n, label="ramp")
         devs[n] = (rep.deviation, rep.tolerance, rep.passed)
     ok = devs[200][2] and devs[2000][2] and devs[2000][0] < devs[200][0]
     report("C6 mean-formula", ok,
@@ -107,8 +105,7 @@ def test_c6_mean_formula_residual():
 def test_c7_fclt_variance():
     results = {}
     for sigma_id in (0, 2):
-        rep = validation.check_fclt_variance(sigma_id, n=2000, replications=5000,
-                                             seed=47, tolerance=0.1)
+        rep = validation.check_fclt_variance(sigma_id, n=2000, replications=5000, seed=47)
         results[sigma_id] = rep
     ok = results[0].passed and results[2].passed
     report("C7 fclt-variance", ok,

@@ -59,6 +59,21 @@ def test_cmd_test_json_contract(capsys, cache_dir, gauss_csv):
     assert 0.0 < result["p_value"] <= 1.0
 
 
+@pytest.mark.parametrize("method", ["full-v2", "lrv"])
+def test_cmd_test_skips_blank_lines(capsys, cache_dir, gauss_csv, tmp_path, method):
+    lines = gauss_csv.read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n" + "\n \n".join(lines) + "\n\n")
+    outputs = []
+    for path in (gauss_csv, spaced):
+        code, out, _ = run_cli(capsys, ["test", "--input", str(path), "--method", method,
+                                        "--null-cache", str(cache_dir)])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["n"] == 400
+
+
 def test_cmd_test_variants_share_geometry(capsys, cache_dir, gauss_csv):
     outputs = {}
     for method in ("full-v1", "full-v2"):
@@ -553,6 +568,21 @@ def test_simulate_bad_grid_spec(capsys, cache_dir, tmp_path):
     )
     assert code == 1
     assert "grid" in err
+
+
+@pytest.mark.parametrize("grid, key", [("mu=0;mu=3", "mu"), ("n=100;n=200;n=100", "n")])
+def test_simulate_refuses_a_repeated_grid_key_before_loading_a_null(capsys, tmp_path, grid, key):
+    # a cache that cannot be parsed would exit 3 if any null were loaded
+    broken = tmp_path / "cache"
+    broken.mkdir()
+    for kind in (nulldist.SIMPLE_RATIO, nulldist.FULL_RATIO):
+        (broken / f"{kind}.snq").write_text("not a cache\n")
+    out = tmp_path / "sim"
+    code, _, err = run_cli(capsys, ["simulate", "--grid", grid, "--reps", "5",
+                                    "--null-cache", str(broken), "--out", str(out)])
+    assert code == cli.EXIT_USAGE == 1
+    assert err == f"sn-cusum: repeated grid key {key!r}\n"
+    assert not out.exists()
 
 
 def test_simulate_overflowing_cell_is_a_clean_error(cache_dir, tmp_path):

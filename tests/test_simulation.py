@@ -278,13 +278,27 @@ def test_run_grid_refuses_before_building_a_pool(usable_cpus, fake_pools, nulls)
     unresolvable = dataclasses.replace(good, alpha=1e-4)
     with pytest.raises(ConfigurationError):
         run_grid([good, unresolvable], tests=("sn_full_v2",), nulls=nulls, workers=2)
-    with pytest.raises(ConfigurationError):
-        run_grid([good, good], tests=("r_lrv", "sn_simple"),
+    with pytest.raises(ConfigurationError, match="missing null"):
+        run_grid([good], tests=("r_lrv", "sn_simple"),
                  nulls={nulldist.FULL_RATIO: nulls[nulldist.FULL_RATIO]}, workers=2)
     # a repeated id would count every replication twice (a rate of 1.8)
     with pytest.raises(ConfigurationError, match=r"repeated .*\['sn_simple'\]"):
         run_grid([good], tests=("sn_simple", "r_lrv", "sn_simple"), nulls=nulls, workers=2)
     assert fake_pools == []
+
+
+def test_run_grid_refuses_a_repeated_cell_before_building_a_pool(usable_cpus, fake_pools,
+                                                                   nulls):
+    # both copies would draw the same streams and count every replication twice
+    usable_cpus(64)
+    cells = scenario_cells([0], [0], [1.0], ["iid"], [100, 200, 100], replications=5)
+    with pytest.raises(ConfigurationError, match=r"^repeated cell: Scenario\(.*n=100,"):
+        run_grid(cells, tests=("sn_simple",), nulls=nulls, workers=2)
+    with pytest.raises(ConfigurationError, match="repeated cell"):
+        simulation.check_grid(cells, tests=())
+    assert fake_pools == []
+    other_seed = dataclasses.replace(cells[2], seed=1)
+    assert simulation.check_grid(cells[:2] + [other_seed], tests=()) == []
 
 
 def test_run_grid_checks_every_cell_before_building_a_pool(usable_cpus, fake_pools, nulls):
@@ -373,6 +387,22 @@ def test_stacked_tally_counts_a_zero_row_as_degenerate():
     assert {name: rejections[name] for name in stats.RULES} == dict.fromkeys(stats.RULES, 3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stacked_tally_refuses_a_non_finite_row(bad):
+    cfg = make_block_config(250)
+    x = np.random.default_rng(32).standard_normal((4, 250))
+    x[1, 17] = bad
+    thresholds = dict.fromkeys(stats.RULES, 1.0)
+    thresholds["r_lrv"] = stats.lrv_critical_value(0.05)
+    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
+    for tests in (ALL_TESTS, ("r_lrv",), ("sn_simple",), ("sn_full_v2",)):
+        rejections, degenerate = dict.fromkeys(tests, 0), dict.fromkeys(tests, 0)
+        chosen = {name: knots[name] for name in tests if name in knots}
+        with pytest.raises(ValueError, match="non-finite"):
+            simulation._tally(x, cfg, tests, thresholds, chosen, rejections, degenerate)
+
+
 def test_scenario_chunk_memory_is_linear():
     # A row of n=1e5 floats (800 KB) exceeds the stacked block's memory
     # budget, so the block falls to one row and the peak is that of one series:
@@ -428,6 +458,18 @@ def test_reproduce_tables_seed_overflow_is_a_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "seed" in err
+    assert not cache.exists() and not out.exists()
+
+
+def test_reproduce_tables_repeated_size_is_a_usage_error(capsys, tmp_path):
+    cache, out = tmp_path / "cache", tmp_path / "tables"
+    argv = ["--mode", "null", "--null-cache", str(cache), "--null-reps", "1000",
+            "--reps", "2", "--sizes", "100,100", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        _reproduce_tables().main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "repeated cell" in err and "simulating" not in err
     assert not cache.exists() and not out.exists()
 
 
@@ -655,6 +697,15 @@ def test_parse_grid_axes():
         with pytest.raises(ValueError) as exc:
             simulation.parse_grid(spec)
         assert str(exc.value) == message
+
+
+def test_parse_grid_refuses_a_repeated_key():
+    # the later values would replace the earlier ones without a word
+    for spec, key in [("mu=0;mu=3", "mu"), ("n=100;n=200;n=100", "n"),
+                      ("eps=ar; eps =iid", "eps")]:
+        with pytest.raises(ValueError) as exc:
+            simulation.parse_grid(spec)
+        assert str(exc.value) == f"repeated grid key {key!r}"
 
 
 def test_aggregate_unknown_key():

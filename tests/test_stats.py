@@ -528,6 +528,20 @@ def test_single_series_entries_refuse_non_finite_input(null_simple_small, null_f
         SINGLE_SERIES_ENTRIES[entry](x, make_block_config(200), nulls)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_stacked_kernels_refuse_a_non_finite_row(bad):
+    cfg = make_block_config(300)
+    x = np.random.default_rng(13).standard_normal((5, 300))
+    x[3, 122] = bad
+    knots = stats.RULES["sn_full_v2"].knots(cfg)
+    for triples in ([None], [knots], [None, knots]):
+        with pytest.raises(ValueError, match="non-finite"):
+            stats._ratios(x, cfg, triples)
+    with pytest.raises(ValueError, match="non-finite"):
+        stats.cusum_lrv(x)
+
+
 def test_full_statistic_matches_oracle():
     rng = np.random.default_rng(11)
     for _ in range(6):
