@@ -27,7 +27,7 @@ with or without one.
 from dataclasses import dataclass, field
 import math
 import os
-import sys
+import warnings
 
 import numpy as np
 
@@ -116,37 +116,37 @@ def plan_chunks(total: int, workers: int, min_chunk: int) -> list[int]:
 
 def default_workers() -> int:
     """The worker count when a caller names none: the usable CPUs where pools
-    fork (POSIX), else 1; and 1 inside a worker process, so that a caller's
-    workers do not each start a pool of their own.  A forked worker does not
-    re-import ``__main__``, so this default needs no ``if __name__ ==
-    "__main__"`` guard in the calling script."""
-    # Every worker process has imported multiprocessing, so a process that
-    # has not is no worker; this spares the cold `nulldist` path its import.
-    mp = sys.modules.get("multiprocessing")
-    if os.name != "posix" or (mp is not None and mp.parent_process() is not None):
-        return 1
-    return usable_cpus()
+    fork (POSIX), else 1.  A forked worker does not re-import ``__main__``, so
+    this default needs no ``if __name__ == "__main__"`` guard in the calling
+    script."""
+    return usable_cpus() if os.name == "posix" else 1
 
 
 def map_chunks(fn, tasks, workers: int) -> list:
     """``[fn(*task) for task in tasks]`` (a list) through one process pool of
     min(workers, usable CPUs, number of tasks) processes, or in this process
-    when that is 1 or when this process is daemonic (a ``multiprocessing.Pool``
-    worker, which may not start children).  Results keep the order of
-    ``tasks``.  On POSIX the workers fork, whatever the platform's default
-    start method: they inherit the modules loaded here (such as scipy.signal)
-    and never re-import ``__main__``."""
+    when that is 1 or when multiprocessing started this process (a worker of
+    a caller's pool, so that N workers do not each start a pool).  Results
+    keep the order of ``tasks``.  On POSIX the workers fork, whatever the
+    platform's default start method: they inherit the modules loaded here
+    (such as scipy.signal) and never re-import ``__main__``."""
     size = min(workers, usable_cpus(), len(tasks))
     if size > 1:
         # Imported here: `sn-cusum test` never builds a pool.
         import multiprocessing
 
-        if not multiprocessing.current_process().daemon:
+        if multiprocessing.parent_process() is None:
             from concurrent.futures import ProcessPoolExecutor
 
             context = multiprocessing.get_context("fork") if os.name == "posix" else None
-            with ProcessPoolExecutor(max_workers=size, mp_context=context) as pool:
-                return list(pool.map(fn, *zip(*tasks)))
+            with warnings.catch_warnings():
+                # Python 3.12+ warns at each fork of a process with threads,
+                # and numpy's BLAS pool makes every process here one; the fork
+                # is chosen on purpose, so no filter of deprecations may fail it.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                        r"use of fork\(\)", DeprecationWarning)
+                with ProcessPoolExecutor(max_workers=size, mp_context=context) as pool:
+                    return list(pool.map(fn, *zip(*tasks)))
     return [fn(*task) for task in tasks]
 
 

@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 import subprocess
 import sys
+from unittest import mock
 import warnings
 
 import numpy as np
@@ -37,6 +38,7 @@ from sncusum.nulldist import (
     simulate_null,
 )
 
+from conftest import FakePool
 import oracles
 
 
@@ -150,6 +152,12 @@ def test_simulation_deterministic_across_workers():
             assert simulate_null(kind, 200, 3000, seed=7, workers=workers).draws.tobytes() == one
 
 
+# Python 3.12+ warns when a process with threads forks, as these tests' pools do
+IGNORE_FORK_WARNING = pytest.mark.filterwarnings(
+    r"ignore:This process \(pid=\d+\) is multi-threaded, use of fork\(\):DeprecationWarning")
+
+
+@IGNORE_FORK_WARNING
 def test_simulate_null_in_a_daemonic_worker_draws_in_process(usable_cpus):
     # a multiprocessing.Pool worker may not start a pool of its own, though
     # the mask of three CPUs it inherits would give it one of three
@@ -161,14 +169,27 @@ def test_simulate_null_in_a_daemonic_worker_draws_in_process(usable_cpus):
             assert sample.draws.tobytes() == serial
 
 
-def test_default_workers_are_one_inside_a_worker_process(monkeypatch, usable_cpus):
-    # the default of a caller's workers is 1, so that N of them do not each
-    # start a pool of every CPU
+def _draws_in_a_worker(workers):
+    """The draws of ``simulate_null`` at ``workers``, and the sizes of the
+    pools it built (a spy: no worker starts)."""
+    built = []
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor",
+                           lambda max_workers, mp_context=None: FakePool(built, max_workers)):
+        draws = simulate_null(FULL_RATIO, 100, 2000, workers=workers).draws.tobytes()
+    return draws, [pool.max_workers for pool in built]
+
+
+@IGNORE_FORK_WARNING
+def test_a_worker_process_builds_no_pool(monkeypatch, usable_cpus):
+    # a caller's workers draw in-process at any worker count, so that N of
+    # them do not each start a pool of every CPU
     usable_cpus(3)
     assert nulldist.default_workers() == 3
+    serial = simulate_null(FULL_RATIO, 100, 2000, workers=1).draws.tobytes()
     context = multiprocessing.get_context("fork")
     with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
-        assert pool.submit(nulldist.default_workers).result(timeout=120) == 1
+        for workers in (None, 2):
+            assert pool.submit(_draws_in_a_worker, workers).result(timeout=120) == (serial, [])
     with monkeypatch.context() as patch:
         patch.setattr(os, "name", "nt")  # no fork: a pool would re-import __main__
         workers = nulldist.default_workers()

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_run_grid_builds_one_capped_pool_of_thresholds(usable_cpus, fake_pools, 
     serial = run_grid(cells, nulls=nulls, workers=1)
     assert len(fake_pools) == 3
     assert [r.rejections for r in serial] == [r.rejections for r in pooled]
+
+
+def test_pools_fork_under_the_fork_warning_of_python_3_12(monkeypatch, usable_cpus, nulls):
+    # From Python 3.12 on, os.fork warns in a process with threads (numpy's
+    # BLAS pool is one), and pytest's filters make that warning an error
+    cells = scenario_cells([0], [0], [1.0], ["iid", "ma"], [100], replications=6, seed=7)
+    serial_draws = nulldist.simulate_null(nulldist.FULL_RATIO, 100, 4000, workers=1).draws
+    serial_counts = [r.rejections for r in run_grid(cells, nulls=nulls, workers=1)]
+    forks, fork = [], os.fork
+
+    def warning_fork():
+        forks.append(os.getpid())
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    usable_cpus(2)
+    draws = nulldist.simulate_null(nulldist.FULL_RATIO, 100, 4000, workers=2).draws
+    assert draws.tobytes() == serial_draws.tobytes()
+    pooled_draws = len(forks)
+    assert [r.rejections for r in run_grid(cells, nulls=nulls, workers=2)] == serial_counts
+    assert 0 < pooled_draws < len(forks)  # each run forked its pool
 
 
 def test_run_grid_refuses_before_building_a_pool(usable_cpus, fake_pools, nulls):
