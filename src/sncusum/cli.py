@@ -199,7 +199,7 @@ def cmd_simulate(args) -> int:
     block = args.block_size if args.block_size is not None else "auto(n^0.375)"
     metadata = (
         f"sn-cusum simulate seed={args.seed} replications={args.reps} "
-        f"alpha={args.alpha:g} block={block} tests={','.join(tests)}"
+        f"alpha={args.alpha!r} block={block} tests={','.join(tests)}"
     )
     written = []
     cells_path = out / "cells.csv"
@@ -257,7 +257,8 @@ def cmd_aggregate(args) -> int:
         mean = sum(values) / len(values)
         if not math.isfinite(mean):
             raise _ParseError(f"{path}: the mean of year {year} overflows")
-        lines.append(f"{year},{mean:.6f}")
+        text = f"{mean:.6f}"  # six decimals would flatten a series on a small scale
+        lines.append(f"{year},{text if float(text) == mean else repr(mean)}")
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="ascii")
     return EXIT_OK
 

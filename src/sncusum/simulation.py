@@ -238,27 +238,28 @@ def gen_series(scenario: Scenario, replication: int, stream=None) -> np.ndarray:
     return mean + scale * eps
 
 
-def _tally(x: np.ndarray, cfg, tests, thresholds: dict, knots: dict, rejections: dict,
+def _tally(x: np.ndarray, cfg, tests, calibrations: dict, alpha: float, rejections: dict,
            degenerate: dict) -> None:
     """Add the rejections and degenerate rows of a stack of series (one per
     row, each kernel scaling it as it reads) to the per-test counts; one walk
-    reads every rule at its ``knots``, and the LRV test rejects above sigma
-    times its critical value in ``thresholds``."""
-    ratios = dict(zip(knots, stats._ratios(x, cfg, list(knots.values())))) if knots else {}
+    reads every rule at its calibration's knots, and the LRV test rejects
+    above sigma times its critical value at ``alpha``."""
+    knots = [c.knots for c in calibrations.values()]
+    ratios = dict(zip(calibrations, stats._ratios(x, cfg, knots))) if knots else {}
     for name in tests:
         if name in ratios:
             numerator, denominator = ratios[name]
             valid = denominator != 0.0
-            rejected = numerator[valid] / denominator[valid] > thresholds[name]
+            rejected = numerator[valid] / denominator[valid] > calibrations[name].threshold
         else:
             statistic, sigma2, _ = stats.cusum_lrv(x)
             valid = sigma2 != 0.0
-            rejected = statistic[valid] > np.sqrt(sigma2[valid]) * thresholds[name]
+            rejected = statistic[valid] > np.sqrt(sigma2[valid]) * stats.lrv_critical_value(alpha)
         degenerate[name] += len(x) - int(np.count_nonzero(valid))
         rejections[name] += int(np.count_nonzero(rejected))
 
 
-def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, knots: dict, start, stop):
+def _scenario_chunk(scenario: Scenario, tests, calibrations: dict, start, stop):
     """Count rejections and degenerate draws per test over one replication
     range, a stacked block of replications at a time."""
     cfg = make_block_config(scenario.n, scenario.block_length)
@@ -272,7 +273,7 @@ def _scenario_chunk(scenario: Scenario, tests, thresholds: dict, knots: dict, st
         with np.errstate(over="ignore"):  # c_sigma near the float limit overflows
             for rep, row, stream in zip(range(lo, stop), x, streams):
                 row[:] = gen_series(scenario, rep, stream)
-        _tally(x, cfg, tests, thresholds, knots, rejections, degenerate)
+        _tally(x, cfg, tests, calibrations, scenario.alpha, rejections, degenerate)
     return rejections, degenerate
 
 
@@ -313,10 +314,10 @@ def run_grid(
 ) -> list[ScenarioResult]:
     """Run a list of scenarios through one worker pool.
 
-    The rules are checked against every cell and calibrated for it here (for
-    the LRV test, its critical value looked up), so a geometry, null sample or
-    level the run cannot use fails before any worker starts.  Each task is one
-    (cell, replication range) pair carrying the cell's thresholds and knots.
+    The rules are checked against every cell and calibrated for it here, so a
+    geometry, null sample or level the run cannot use fails before any worker
+    starts.  Each task is one (cell, replication range) pair carrying the
+    cell's ``Calibration``s; the worker looks up the LRV critical value.
     """
     scenarios = list(scenarios)
     tests = tuple(tests)
@@ -328,13 +329,9 @@ def run_grid(
     for index, scenario in enumerate(scenarios):
         cfg = make_block_config(scenario.n, scenario.block_length)
         calibrations = {r.test_id: r.calibration(cfg, nulls[r.kind], scenario.alpha) for r in rules}
-        thresholds = {name: c.threshold for name, c in calibrations.items()}
-        knots = {name: c.knots for name, c in calibrations.items()}
-        if stats.METHOD_LRV in tests:
-            thresholds[stats.METHOD_LRV] = stats.lrv_critical_value(scenario.alpha)
         bounds = plan_chunks(scenario.replications, workers, min_chunk=_MIN_RANGE)
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            tasks.append((scenario, tests, thresholds, knots, start, stop))
+            tasks.append((scenario, tests, calibrations, start, stop))
             owners.append(index)
 
     rejections = [Counter() for _ in scenarios]
@@ -380,8 +377,11 @@ def aggregate_rates(results, group_keys=("n",)) -> list[dict]:
 
 
 def _format_value(value) -> str:
+    """An axis value's label: ``:g`` when that text parses back to the value,
+    else the shortest text that does."""
     if isinstance(value, float):
-        return f"{value:g}"
+        text = f"{value:g}"
+        return text if float(text) == value else repr(value)
     return str(value)
 
 

@@ -18,12 +18,17 @@ from sncusum.simulation import gen_errors, mean_value, sigma_value
 
 SIGMA_SQUARED_INTEGRALS = {0: 1.0, 1: 13.0 / 12.0, 2: 9.0 / 8.0, 3: 5.0 / 4.0}
 
-# The settings of the checks: the oracle's absolute tolerance, the mean
-# formula's (t, s) grid and tolerance in units of block_length / n, and the
-# FCLT variance's relative tolerance.
+# The settings of the checks: the oracle's random configurations, their
+# largest n and its absolute tolerance, the mean formula's (t, s) grid and
+# tolerance in units of block_length / n, and the FCLT variance's series
+# length, replications and relative tolerance.
+_ORACLE_CASES = 1000
+_ORACLE_MAX_N = 200
 _ORACLE_TOLERANCE = 1e-12
 _MEAN_GRID_POINTS = 50
 _MEAN_TOLERANCE_FACTOR = 5.0
+_FCLT_N = 2000
+_FCLT_REPLICATIONS = 5000
 _FCLT_TOLERANCE = 0.1
 
 
@@ -98,16 +103,12 @@ def expected_partial_sum(mean, cfg: BlockConfig, t: float, s: float) -> float:
     return (k / b) * _mean_integral(mean, 0.0, s) - _mean_integral(mean, lower, s) / b
 
 
-def check_partial_sum_oracle(
-    cases: int = 1000,
-    max_n: int = 200,
-    seed: int = 0,
-) -> OracleReport:
+def check_partial_sum_oracle(seed: int = 0) -> OracleReport:
     """Optimized vs. brute-force partial sums on random configurations."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(cases):
-        n = int(rng.integers(4, max_n + 1))
+    for _ in range(_ORACLE_CASES):
+        n = int(rng.integers(4, _ORACLE_MAX_N + 1))
         block = int(rng.integers(1, n + 1))
         cfg = make_block_config(n, block)
         x = rng.standard_normal(n)
@@ -117,7 +118,7 @@ def check_partial_sum_oracle(
         name="partial-sum-oracle",
         deviation=worst,
         tolerance=_ORACLE_TOLERANCE,
-        params={"cases": cases, "max_n": max_n, "seed": seed},
+        params={"cases": _ORACLE_CASES, "max_n": _ORACLE_MAX_N, "seed": seed},
     )
 
 
@@ -146,22 +147,17 @@ def check_mean_formula(mean, n: int, label: str | None = None) -> OracleReport:
     )
 
 
-def check_fclt_variance(
-    sigma_id: int,
-    n: int = 2000,
-    replications: int = 5000,
-    seed: int = 0,
-) -> OracleReport:
+def check_fclt_variance(sigma_id: int, seed: int = 0) -> OracleReport:
     """Sample variance of the scaled full-sample sum vs. its limit.
 
     Simulates zero-mean series with iid errors and modulating standard
     deviation ``sigma_id``; the limit variance is the integral of the squared
     standard deviation over [0, 1].
     """
-    target = SIGMA_SQUARED_INTEGRALS[sigma_id]
+    n, target = _FCLT_N, SIGMA_SQUARED_INTEGRALS[sigma_id]
     scale = sigma_value(sigma_id, np.arange(1, n + 1) / n)
-    values = np.empty(replications)
-    for rep in range(replications):
+    values = np.empty(_FCLT_REPLICATIONS)
+    for rep in range(_FCLT_REPLICATIONS):
         x = scale * gen_errors("iid", n, [seed, rep])
         values[rep] = x.sum() / math.sqrt(n)  # sqrt(n) times the process at t = s = 1
     deviation = abs(float(np.var(values, ddof=1)) - target) / target
@@ -169,7 +165,7 @@ def check_fclt_variance(
         name=f"fclt-variance-sigma{sigma_id}",
         deviation=deviation,
         tolerance=_FCLT_TOLERANCE,
-        params={"n": n, "replications": replications, "seed": seed, "target": target},
+        params={"n": n, "replications": _FCLT_REPLICATIONS, "seed": seed, "target": target},
     )
 
 

@@ -86,7 +86,7 @@ def test_c4_power_monotone_in_n(null_full_a):
 
 
 def test_c5_oracle_equivalence():
-    rep = validation.check_partial_sum_oracle(cases=1000, max_n=200, seed=46)
+    rep = validation.check_partial_sum_oracle(seed=46)
     report("C5 oracle-equivalence", rep.passed,
            f"max deviation {rep.deviation:.3g} <= 1e-12 over 1000 cases")
 
@@ -105,7 +105,7 @@ def test_c6_mean_formula_residual():
 def test_c7_fclt_variance():
     results = {}
     for sigma_id in (0, 2):
-        rep = validation.check_fclt_variance(sigma_id, n=2000, replications=5000, seed=47)
+        rep = validation.check_fclt_variance(sigma_id, seed=47)
         results[sigma_id] = rep
     ok = results[0].passed and results[2].passed
     report("C7 fclt-variance", ok,

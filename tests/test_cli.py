@@ -616,6 +616,27 @@ def test_simulate_refuses_bad_cells_and_repeated_tests(capsys, cache_dir, tmp_pa
     assert not out.exists()
 
 
+def test_simulate_labels_and_metadata_keep_every_digit(capsys, tmp_path):
+    # :g keeps 6 significant digits, which would label both cells 0.123457
+    out = tmp_path / "sim"
+    code, _, _ = run_cli(capsys, ["simulate", "--tests", "r_lrv", "--alpha", "0.0123456789",
+                                  "--grid", "c=0.1234567,0.1234568;n=100", "--reps", "20",
+                                  "--out", str(out)])
+    assert code == 0
+    for table in ("cells.csv", "aggregate_c_sigma.csv"):
+        metadata, header, *rows = (out / table).read_text().splitlines()
+        assert " alpha=0.0123456789 " in metadata
+        column = header.split(",").index("c_sigma")
+        assert [float(row.split(",")[column]) for row in rows] == [0.1234567, 0.1234568]
+    # a value that :g writes exactly keeps its :g label
+    code, _, _ = run_cli(capsys, ["simulate", "--tests", "r_lrv", "--grid", "c=0.5,1;n=100",
+                                  "--reps", "20", "--out", str(out)])
+    assert code == 0
+    rows = (out / "cells.csv").read_text().splitlines()
+    assert " alpha=0.05 " in rows[0]
+    assert [row.split(",")[2] for row in rows[2:]] == ["0.5", "1"]
+
+
 @pytest.mark.parametrize("alpha", ["1e-17", "5e-17"])
 def test_simulate_writes_tables_at_an_lrv_alpha_whose_complement_rounds_to_one(capsys, tmp_path,
                                                                                alpha):
@@ -763,6 +784,27 @@ def test_aggregate_interleaved_years_sorted(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
     assert code == 0
     assert dst.read_text() == "year,value\n2001,2.000000\n2002,5.000000\n"
+
+
+def test_aggregate_writes_means_that_parse_back(capsys, tmp_path):
+    # at the 1e-7 scale six decimals would write 0.000000 (or -0.000000) for
+    # every year, a constant series
+    rng = np.random.default_rng(5)
+    daily = {2001: [1e-7, 3e-7], 2002: [2e-7, 2.5e-7], 2003: [1.0, 2.0, 3.0]}
+    daily.update({year: (1e-7 * rng.standard_normal(28)).tolist() for year in range(2004, 2064)})
+    src = tmp_path / "daily.csv"
+    src.write_text("date,value\n" + "".join(f"{year}-03-{day + 1:02d},{value!r}\n"
+                                            for year, values in daily.items()
+                                            for day, value in enumerate(values)))
+    dst = tmp_path / "annual.csv"
+    code, _, _ = run_cli(capsys, ["aggregate", "--input", str(src), "--out", str(dst)])
+    assert code == 0
+    header, *rows = dst.read_text().splitlines()
+    assert header == "year,value"
+    written = {int(year): value for year, value in (row.split(",") for row in rows)}
+    assert written[2003] == "2.000000"  # exact in six decimals: the same text as before
+    assert {year: float(value) for year, value in written.items()} == {
+        year: sum(values) / len(values) for year, values in daily.items()}
 
 
 def test_aggregate_missing_values_counted(capsys, tmp_path):

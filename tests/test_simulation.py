@@ -265,7 +265,7 @@ def test_run_grid_builds_one_capped_pool_of_thresholds(usable_cpus, fake_pools, 
     assert sorted({task[0] for task in tasks}, key=cells.index) == cells
     for task in tasks:
         assert not any(isinstance(arg, nulldist.NullSample) for arg in task)
-        assert all(isinstance(v, float) for v in task[2].values())
+        assert all(isinstance(v, stats.Calibration) for v in task[2].values())
         assert len(pickle.dumps(task)) < 1000
     serial = run_grid(cells, nulls=nulls, workers=1)
     assert len(fake_pools) == 3
@@ -353,16 +353,14 @@ def test_simulate_applies_the_rules_test_applies(usable_cpus, fake_pools, nulls,
     (pool,) = fake_pools
     x = gen_series(cell, 0)
     for task in pool.tasks:
-        assert set(task[2]) == set(decide)
-        for name, threshold in task[2].items():
-            outcome = decide[name](x)
-            # the LRV test's threshold scales its critical value by sigma
-            want = outcome.quantile if name == "r_lrv" else outcome.threshold
-            assert threshold.hex() == want.hex(), name
-        assert task[3] == {name: stats.RULES[name].knots(cfg) for name in stats.RULES}
+        # the LRV critical value travels in no task: the worker looks it up
+        assert set(task[2]) == set(stats.RULES)
+        for name, calibration in task[2].items():
+            assert calibration.threshold.hex() == decide[name](x).threshold.hex(), name
+            assert calibration.knots == stats.RULES[name].knots(cfg)
 
     counts, degenerate = simulation._scenario_chunk(
-        cell, tuple(decide), *pool.tasks[0][2:4], 0, cell.replications)
+        cell, tuple(decide), pool.tasks[0][2], 0, cell.replications)
     series = [gen_series(cell, rep) for rep in range(cell.replications)]
     expected = {name: sum(rule(x).reject for x in series) for name, rule in decide.items()}
     assert counts == expected
@@ -384,13 +382,11 @@ def test_stacked_chunk_counts_equal_the_single_series_decisions(nulls, size):
         "sn_full_v1": lambda x: stats.decide_full(x, cfg, stats.TestParams.v1(cell.alpha), full),
         "sn_full_v2": lambda x: stats.decide_full(x, cfg, stats.TestParams.v2(cell.alpha), full),
     }
-    thresholds = {name: rule.calibration(cfg, nulls[rule.kind], cell.alpha).threshold
-                  for name, rule in stats.RULES.items()}
-    thresholds["r_lrv"] = stats.lrv_critical_value(cell.alpha)
-    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
+    calibrations = {name: rule.calibration(cfg, nulls[rule.kind], cell.alpha)
+                    for name, rule in stats.RULES.items()}
     start = 3
     counts, degenerate = simulation._scenario_chunk(
-        cell, tuple(decide), thresholds, knots, start, start + size)
+        cell, tuple(decide), calibrations, start, start + size)
     series = [gen_series(cell, rep) for rep in range(start, start + size)]
     assert counts == {name: sum(rule(x).reject for x in series) for name, rule in decide.items()}
     assert degenerate == dict.fromkeys(decide, 0)
@@ -401,11 +397,10 @@ def test_stacked_tally_counts_a_zero_row_as_degenerate():
     cfg = make_block_config(250)
     x = np.random.default_rng(31).standard_normal((4, 250))
     x[2] = 0.0
-    thresholds = dict.fromkeys(stats.RULES, 0.0)
-    thresholds["r_lrv"] = stats.lrv_critical_value(0.05)
     rejections, degenerate = dict.fromkeys(ALL_TESTS, 0), dict.fromkeys(ALL_TESTS, 0)
-    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
-    simulation._tally(x, cfg, ALL_TESTS, thresholds, knots, rejections, degenerate)
+    calibrations = {name: stats.Calibration(rule.knots(cfg), 1.0, 0.0, 0.0)
+                    for name, rule in stats.RULES.items()}
+    simulation._tally(x, cfg, ALL_TESTS, calibrations, 0.05, rejections, degenerate)
     assert degenerate == dict.fromkeys(ALL_TESTS, 1)
     # every statistic of a non-zero row is positive, above a zero threshold
     assert {name: rejections[name] for name in stats.RULES} == dict.fromkeys(stats.RULES, 3)
@@ -417,14 +412,13 @@ def test_stacked_tally_refuses_a_non_finite_row(bad):
     cfg = make_block_config(250)
     x = np.random.default_rng(32).standard_normal((4, 250))
     x[1, 17] = bad
-    thresholds = dict.fromkeys(stats.RULES, 1.0)
-    thresholds["r_lrv"] = stats.lrv_critical_value(0.05)
-    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
+    calibrations = {name: stats.Calibration(rule.knots(cfg), 1.0, 1.0, 1.0)
+                    for name, rule in stats.RULES.items()}
     for tests in (ALL_TESTS, ("r_lrv",), ("sn_simple",), ("sn_full_v2",)):
         rejections, degenerate = dict.fromkeys(tests, 0), dict.fromkeys(tests, 0)
-        chosen = {name: knots[name] for name in tests if name in knots}
+        chosen = {name: calibrations[name] for name in tests if name in calibrations}
         with pytest.raises(ValueError, match="non-finite"):
-            simulation._tally(x, cfg, tests, thresholds, chosen, rejections, degenerate)
+            simulation._tally(x, cfg, tests, chosen, 0.05, rejections, degenerate)
 
 
 def test_scenario_chunk_memory_is_linear():
@@ -434,12 +428,12 @@ def test_scenario_chunk_memory_is_linear():
     # about nine length-n arrays.  Stacking both replications would double it.
     cell = Scenario(mean_id=0, sigma_id=0, c_sigma=1.0, error_model="iid",
                     n=100_000, replications=2)
-    thresholds = dict.fromkeys(ALL_TESTS, 3.0)
     cfg = make_block_config(cell.n)
-    knots = {name: rule.knots(cfg) for name, rule in stats.RULES.items()}
+    calibrations = {name: stats.Calibration(rule.knots(cfg), 1.0, 3.0, 3.0)
+                    for name, rule in stats.RULES.items()}
     tracemalloc.start()
     try:
-        simulation._scenario_chunk(cell, ALL_TESTS, thresholds, knots, 0, 2)
+        simulation._scenario_chunk(cell, ALL_TESTS, calibrations, 0, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
